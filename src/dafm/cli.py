@@ -186,12 +186,6 @@ def _resolve(args, command):
 
 
 def _write_manifest(outdir, command, resolved, t0):
-    try:
-        import numba
-
-        numba_ver = numba.__version__
-    except Exception:  # pragma: no cover - numba is a hard dependency
-        numba_ver = "unavailable"
     meta = dict(resolved)
     meta.update(
         command=command,
@@ -199,8 +193,6 @@ def _write_manifest(outdir, command, resolved, t0):
         python_version=sys.version.split()[0],
         numpy_version=np.__version__,
         scipy_version=__import__("scipy").__version__,
-        numba_version=numba_ver,
-        numba_disabled=os.environ.get("DAFM_DISABLE_NUMBA", "") == "1",
         wall_time_s="%.3f" % (time.perf_counter() - t0),
     )
     for key, val in list(meta.items()):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._accel import njit
 from .panel import Panel
 
 __all__ = [
@@ -29,10 +28,9 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# compiled cores (nopython-compatible vectorized numpy)
+# array cores shared with the estimator and the smoothed fit
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, nogil=True)
 def _horner(coef, x):
     out = np.zeros_like(x)
     for idx in range(coef.size - 1, -1, -1):
@@ -40,26 +38,34 @@ def _horner(coef, x):
     return out
 
 
-@njit(cache=True, nogil=True)
 def _survival_vals(surv_coef, u):
     """K(u) with exact saturation outside [-1, 1]."""
     vals = _horner(surv_coef, u)
     return np.where(u <= -1.0, 1.0, np.where(u >= 1.0, 0.0, vals))
 
 
-@njit(cache=True, nogil=True)
 def _pdf_vals(coef, u):
     vals = _horner(coef, u)
     return np.where(np.abs(u) < 1.0, vals, 0.0)
 
 
-@njit(cache=True, nogil=True)
+def _sgrad_vals(surv_coef, pdf_coef, taus, e, h):
+    """Smoothed-loss derivative tau - K(u) + u k(u), u = e/h."""
+    u = e / h
+    return taus - _survival_vals(surv_coef, u) + u * _pdf_vals(pdf_coef, u)
+
+
+def _scurv_vals(pdf_coef, deriv_coef, e, h):
+    """Smoothed-loss curvature (2 k(u) + u k'(u)) / h, u = e/h."""
+    u = e / h
+    return (2.0 * _pdf_vals(pdf_coef, u) + u * _pdf_vals(deriv_coef, u)) / h
+
+
 def _check_loss_sum(R, tau):
     """Sum of rho_tau over a residual array."""
     return np.sum(np.maximum(tau * R, (tau - 1.0) * R))
 
 
-@njit(cache=True, nogil=True)
 def _composite_objective_core(X, F, lam, taus, w):
     T, N = X.shape
     total = 0.0
@@ -69,7 +75,6 @@ def _composite_objective_core(X, F, lam, taus, w):
     return total / (N * T)
 
 
-@njit(cache=True, nogil=True)
 def _smoothed_objective_core(X, F, lam, taus, w, h, surv_coef):
     T, N = X.shape
     total = 0.0
@@ -108,17 +113,14 @@ def smoothed_check_grad(eps, tau, cfg):
     """d/d eps of the smoothed check loss: tau - K(u) + u k(u), u = eps/h."""
     _require_level(tau)
     e = np.atleast_1d(np.asarray(eps, dtype=float))
-    u = e / cfg.bandwidth
-    out = tau - _survival_vals(cfg.kernel.survival_coef, u) + u * _pdf_vals(cfg.kernel.coef, u)
+    out = _sgrad_vals(cfg.kernel.survival_coef, cfg.kernel.coef, tau, e, cfg.bandwidth)
     return out if np.ndim(eps) else float(out[0])
 
 
 def smoothed_check_curv(eps, cfg):
     """Second derivative (2/h) k(u) + (eps/h^2) k'(u); independent of tau."""
     e = np.atleast_1d(np.asarray(eps, dtype=float))
-    h = cfg.bandwidth
-    u = e / h
-    out = (2.0 * _pdf_vals(cfg.kernel.coef, u) + u * _pdf_vals(cfg.kernel.deriv_coef, u)) / h
+    out = _scurv_vals(cfg.kernel.coef, cfg.kernel.deriv_coef, e, cfg.bandwidth)
     return out if np.ndim(eps) else float(out[0])
 
 

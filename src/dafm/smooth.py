@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from ._accel import njit
 from .errors import NumericalError
 from .estimator import FactorFit, FitConfig, fit_dafm, normalize_fit
 from .kernels import SmoothConfig
-from .losses import _pdf_vals, _smoothed_objective_core, _survival_vals
+from .losses import _scurv_vals, _sgrad_vals, _smoothed_objective_core, _survival_vals
 from .panel import Panel
 
 __all__ = [
@@ -75,25 +74,11 @@ class ConfidenceIntervals:
 # damped-Newton sweeps on the smoothed loss
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, nogil=True)
 def _sloss_sum(surv_coef, taus, cvec, e, h):
     u = e / h
     return np.sum(cvec * (taus - _survival_vals(surv_coef, u)) * e)
 
 
-@njit(cache=True, nogil=True)
-def _sgrad_vals(surv_coef, pdf_coef, taus, e, h):
-    u = e / h
-    return taus - _survival_vals(surv_coef, u) + u * _pdf_vals(pdf_coef, u)
-
-
-@njit(cache=True, nogil=True)
-def _scurv_vals(pdf_coef, deriv_coef, e, h):
-    u = e / h
-    return (2.0 * _pdf_vals(pdf_coef, u) + u * _pdf_vals(deriv_coef, u)) / h
-
-
-@njit(cache=True, nogil=True)
 def _smooth_newton(Z, y, taus, cvec, beta0, h, pdf_coef, deriv_coef, surv_coef,
                    max_newton, tol):
     """Damped Newton with Levenberg regularization and Armijo backtracking.
@@ -137,8 +122,7 @@ def _smooth_newton(Z, y, taus, cvec, beta0, h, pdf_coef, deriv_coef, surv_coef,
         accepted = False
         for _ in range(25):
             Hd = H.copy()
-            for j in range(r):
-                Hd[j, j] += mu
+            Hd.flat[:: r + 1] += mu
             d = np.linalg.solve(Hd, -g)
             gd = g @ d
             if np.all(np.isfinite(d)) and gd < 0.0:
@@ -164,16 +148,14 @@ def _smooth_newton(Z, y, taus, cvec, beta0, h, pdf_coef, deriv_coef, surv_coef,
     return beta, obj, status
 
 
-@njit(cache=True, nogil=True)
 def _smooth_loading_sweep(XT, F, taus, lam, h, pdf_coef, deriv_coef, surv_coef,
                           max_newton, tol):
     K = taus.shape[0]
     N, T = XT.shape
     out = np.empty_like(lam)
     ones = np.ones(T)
-    tau_vec = np.empty(T)
     for k in range(K):
-        tau_vec[:] = taus[k]
+        tau_vec = np.full(T, taus[k])
         for i in range(N):
             beta, _, status = _smooth_newton(
                 F, XT[i], tau_vec, ones, lam[k, i], h,
@@ -185,26 +167,16 @@ def _smooth_loading_sweep(XT, F, taus, lam, h, pdf_coef, deriv_coef, surv_coef,
     return out, 0, 0
 
 
-@njit(cache=True, nogil=True)
 def _smooth_factor_sweep(X, lam, taus, wts, F, h, pdf_coef, deriv_coef, surv_coef,
                          max_newton, tol):
-    T, N = X.shape
-    K = taus.shape[0]
-    r = lam.shape[2]
-    Zs = np.empty((K * N, r))
-    tau_s = np.empty(K * N)
-    cvec = np.empty(K * N)
-    for k in range(K):
-        for i in range(N):
-            Zs[k * N + i] = lam[k, i]
-            tau_s[k * N + i] = taus[k]
-            cvec[k * N + i] = wts[k]
+    T = X.shape[0]
+    K, N, r = lam.shape
+    Zs = lam.reshape(K * N, r)
+    tau_s = np.repeat(taus, N)
+    cvec = np.repeat(wts, N)
     out = np.empty_like(F)
-    ys = np.empty(K * N)
     for t in range(T):
-        for k in range(K):
-            for i in range(N):
-                ys[k * N + i] = X[t, i]
+        ys = np.tile(X[t], K)
         f, _, status = _smooth_newton(
             Zs, ys, tau_s, cvec, F[t], h,
             pdf_coef, deriv_coef, surv_coef, max_newton, tol,
@@ -320,10 +292,7 @@ def _fit_arrays(fit, panel):
 
 def _curvature(E, scfg, floor):
     """Density estimates (2/h)k(u) + (e/h^2)k'(u) with optional flooring."""
-    h = scfg.h
-    u = E / h
-    kern = scfg.kernel
-    vals = (2.0 * _pdf_vals(kern.coef, u) + u * _pdf_vals(kern.deriv_coef, u)) / h
+    vals = _scurv_vals(scfg.kernel.coef, scfg.kernel.deriv_coef, E, scfg.h)
     if floor is not None:
         vals = np.maximum(vals, floor)
     return vals

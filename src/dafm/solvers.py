@@ -1,16 +1,15 @@
 """Weighted quantile regression solvers and the composite factor update.
 
 The production path is an interior-point solver for the quantile-regression
-LP dual (`_qreg_ipm`), compiled with numba when available.  Every call site
-also keeps the coefficient vector it started from, and the returned solution
-is the best of (interior point, vertex polish, previous iterate) measured by
-the exact check-loss objective, so alternating sweeps built on top of it can
-never increase the objective.
+LP dual (`_qreg_ipm`), written in numpy.  Every call site also keeps the
+coefficient vector it started from, and the returned solution is the best of
+(interior point, vertex polish, previous iterate) measured by the exact
+check-loss objective, so alternating sweeps built on top of it can never
+increase the objective.
 
 A reference simplex solution via ``scipy.optimize.linprog`` is exposed as
-``lp_oracle_quantile`` for validation and as a fallback, and an ADMM variant
-of the composite factor step is provided for cross-checking the default
-method.
+``lp_oracle_quantile``.  It is the independent check of the interior point
+and the fallback when the interior point cannot certify optimality.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from ._accel import njit
 from .errors import NumericalError
 
 __all__ = [
@@ -33,35 +31,21 @@ __all__ = [
 _STEP_BACKOFF = 0.9995
 
 
-@njit(cache=True, nogil=True)
 def _ploss(resid, taus):
     """Sum of tilted absolute losses with a per-observation level vector."""
-    total = 0.0
-    for j in range(resid.shape[0]):
-        e = resid[j]
-        a = taus[j] * e
-        b = (taus[j] - 1.0) * e
-        total += a if a > b else b
-    return total
+    # Summed left to right: near-ties between the interior point, the polish
+    # and the previous iterate are decided on this value, and pairwise
+    # summation (np.sum) would decide some of them differently.
+    return np.cumsum(np.maximum(taus * resid, (taus - 1.0) * resid))[-1]
 
 
-@njit(cache=True, nogil=True)
 def _max_step(x, dx, s, ds):
     """Largest alpha in (0, 1e30] keeping x + alpha*dx >= 0 and s + alpha*ds >= 0."""
-    alpha = 1e30
-    for j in range(x.shape[0]):
-        if dx[j] < 0.0:
-            cand = -x[j] / dx[j]
-            if cand < alpha:
-                alpha = cand
-        if ds[j] < 0.0:
-            cand = -s[j] / ds[j]
-            if cand < alpha:
-                alpha = cand
-    return alpha
+    step_x = np.divide(-x, dx, out=np.full(x.shape, 1e30), where=dx < 0.0)
+    step_s = np.divide(-s, ds, out=np.full(s.shape, 1e30), where=ds < 0.0)
+    return min(step_x.min(), step_s.min())
 
 
-@njit(cache=True, nogil=True)
 def _qreg_ipm(Z, y, taus, gap_rtol, max_iter):
     """Mehrotra predictor-corrector on the quantile-regression LP dual.
 
@@ -92,8 +76,7 @@ def _qreg_ipm(Z, y, taus, gap_rtol, max_iter):
         rzw = z - w
         Q = Z.T @ (q.reshape(n, 1) * Z)
         ridge = 1e-13 * (np.trace(Q) / r + 1.0)
-        for j in range(r):
-            Q[j, j] += ridge
+        Q.flat[:: r + 1] += ridge
         # affine scaling (predictor) direction
         dy = np.linalg.solve(Q, Z.T @ (q * rzw))
         da = q * (Z @ dy - rzw)
@@ -131,7 +114,6 @@ def _qreg_ipm(Z, y, taus, gap_rtol, max_iter):
     return -b, gap, ok
 
 
-@njit(cache=True, nogil=True)
 def _qreg_polish(Z, y, taus, beta):
     """Interpolation polish: refit on the r smallest absolute residuals.
 
@@ -155,7 +137,6 @@ def _qreg_polish(Z, y, taus, beta):
     return beta, obj
 
 
-@njit(cache=True, nogil=True)
 def _qreg_solve(Z, y, taus, prev, gap_rtol, max_iter):
     """Interior point + polish, floored at the previous iterate.
 
@@ -176,7 +157,6 @@ def _qreg_solve(Z, y, taus, prev, gap_rtol, max_iter):
     return beta, obj, ok
 
 
-@njit(cache=True, nogil=True)
 def _loading_sweep(XT, F, taus, lam_prev, gap_rtol, max_iter):
     """Per-(level, series) quantile regressions of each series on fixed factors.
 
@@ -189,9 +169,8 @@ def _loading_sweep(XT, F, taus, lam_prev, gap_rtol, max_iter):
     r = F.shape[1]
     lam = np.empty((K, N, r))
     misses = 0
-    tau_vec = np.empty(T)
     for k in range(K):
-        tau_vec[:] = taus[k]
+        tau_vec = np.full(T, taus[k])
         for i in range(N):
             beta, _, ok = _qreg_solve(F, XT[i], tau_vec, lam_prev[k, i], gap_rtol, max_iter)
             lam[k, i] = beta
@@ -200,21 +179,12 @@ def _loading_sweep(XT, F, taus, lam_prev, gap_rtol, max_iter):
     return lam, misses
 
 
-@njit(cache=True, nogil=True)
 def _stack_design(lam, taus, wts):
     """Stack weighted loadings across levels into one (K*N, r) design."""
     K, N, r = lam.shape
-    Zs = np.empty((K * N, r))
-    tau_s = np.empty(K * N)
-    for k in range(K):
-        for i in range(N):
-            for j in range(r):
-                Zs[k * N + i, j] = wts[k] * lam[k, i, j]
-            tau_s[k * N + i] = taus[k]
-    return Zs, tau_s
+    return (wts[:, None, None] * lam).reshape(K * N, r), np.repeat(taus, N)
 
 
-@njit(cache=True, nogil=True)
 def _factor_sweep(X, lam, taus, wts, F_prev, gap_rtol, max_iter):
     """Per-period composite quantile regressions on fixed loadings.
 
@@ -223,16 +193,12 @@ def _factor_sweep(X, lam, taus, wts, F_prev, gap_rtol, max_iter):
     for w > 0.  Returns the (T, r) factor array and the count of periods
     whose duality-gap target was missed.
     """
-    T, N = X.shape
-    K = taus.shape[0]
+    T = X.shape[0]
     Zs, tau_s = _stack_design(lam, taus, wts)
-    ys = np.empty(K * N)
     F = np.empty((T, lam.shape[2]))
     misses = 0
     for t in range(T):
-        for k in range(K):
-            for i in range(N):
-                ys[k * N + i] = wts[k] * X[t, i]
+        ys = np.outer(wts, X[t]).ravel()
         f, _, ok = _qreg_solve(Zs, ys, tau_s, F_prev[t], gap_rtol, max_iter)
         F[t] = f
         if not ok:
@@ -301,6 +267,23 @@ def lp_oracle_quantile(y, Z, tau, weights=None):
     return res.x[:r]
 
 
+def _solve_or_lp(Z, y, taus, what, gap_rtol, max_iter):
+    """Interior point from zero; when it does not certify optimality, warn,
+    run the LP oracle and keep whichever has the lower check loss."""
+    beta, _, ok = _qreg_solve(Z, y, taus, np.zeros(Z.shape[1]), gap_rtol, max_iter)
+    if not ok:
+        warnings.warn(
+            f"interior-point {what} did not certify optimality; "
+            "falling back to the LP solver",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        beta_lp = lp_oracle_quantile(y, Z, taus)
+        if _ploss(y - Z @ beta_lp, taus) < _ploss(y - Z @ beta, taus):
+            beta = beta_lp
+    return beta
+
+
 def quantile_regress(y, Z, tau, gap_rtol=1e-10, max_iter=60):
     """Quantile regression of ``y`` on design ``Z`` at level ``tau``.
 
@@ -315,82 +298,15 @@ def quantile_regress(y, Z, tau, gap_rtol=1e-10, max_iter=60):
     if np.linalg.matrix_rank(Z) < r:
         raise ValueError("design matrix is rank deficient")
     taus = _tau_vector(tau, n)
-    prev = np.zeros(r)
-    beta, _, ok = _qreg_solve(Z, y, taus, prev, gap_rtol, max_iter)
-    if not ok:
-        warnings.warn(
-            "interior-point quantile regression did not certify optimality; "
-            "falling back to the LP solver",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        beta_lp = lp_oracle_quantile(y, Z, taus)
-        if _ploss(y - Z @ beta_lp, taus) < _ploss(y - Z @ beta, taus):
-            beta = beta_lp
-    return beta
+    return _solve_or_lp(Z, y, taus, "quantile regression", gap_rtol, max_iter)
 
 
-@njit(cache=True, nogil=True)
-def _admm_factor(Zs, ys, taus, rho0, tol_res, max_iter):
-    """ADMM on the stacked factor subproblem min sum_j rho_{tau_j}(ys_j - Zs[j] @ f).
-
-    Splitting: Zs f + eps = ys with the tilted-absolute prox on eps and a
-    residual-balancing penalty update.  Returns (f, primal_res, dual_res,
-    iterations, converged).
-    """
-    n, r = Zs.shape
-    G = Zs.T @ Zs
-    ridge = 1e-12 * (np.trace(G) / r + 1.0)
-    for j in range(r):
-        G[j, j] += ridge
-    f = np.linalg.solve(G, Zs.T @ ys)
-    eps = ys - Zs @ f
-    u = np.zeros(n)
-    rho = rho0
-    rp_norm = np.inf
-    rd_norm = np.inf
-    rescales = 0
-    it = 0
-    while it < max_iter:
-        it += 1
-        f = np.linalg.solve(G, Zs.T @ (ys - eps - u))
-        v = ys - Zs @ f - u
-        eps_old = eps
-        eps = v - np.maximum((taus - 1.0) / rho, np.minimum(v, taus / rho))
-        rp = Zs @ f + eps - ys
-        u = u + rp
-        rd = rho * (Zs.T @ (eps - eps_old))
-        rp_norm = np.max(np.abs(rp))
-        rd_norm = np.max(np.abs(rd))
-        if max(rp_norm, rd_norm) <= tol_res:
-            return f, rp_norm, rd_norm, it, True
-        # Residual balancing with two safeguards: adapting every iteration
-        # re-perturbs the iteration map (it can lock into an exact limit
-        # cycle), so the ratio test runs periodically, and the lifetime
-        # number of adaptations is capped so the scheme eventually reduces
-        # to fixed-penalty iterations, whose convergence is guaranteed.
-        if it % 25 == 0 and rescales < 30:
-            if rp_norm > 10.0 * rd_norm:
-                rho *= 2.0
-                u /= 2.0
-                rescales += 1
-            elif rd_norm > 10.0 * rp_norm:
-                rho /= 2.0
-                u *= 2.0
-                rescales += 1
-    return f, rp_norm, rd_norm, it, False
-
-
-def composite_factor_step(x_t, loadings, grid, method="ipm", gap_rtol=1e-10, max_iter=60,
-                          admm_rho=1.0, admm_tol=1e-7, admm_max_iter=2000):
+def composite_factor_step(x_t, loadings, grid, gap_rtol=1e-10, max_iter=60):
     """Composite quantile regression for one period's factor vector.
 
     Minimizes sum_k sum_i w_k * rho_{tau_k}(x_t[i] - loadings[k, i] @ f) over
     f by stacking the K level blocks into one design with rows scaled by
     w_k (valid because the check loss is positively homogeneous).
-
-    ``method`` selects the production interior-point path (``"ipm"``) or the
-    ADMM cross-check (``"admm"``).
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     lam = np.asarray(loadings, dtype=np.float64)
@@ -405,30 +321,8 @@ def composite_factor_step(x_t, loadings, grid, method="ipm", gap_rtol=1e-10, max
         raise ValueError(f"grid has {len(grid)} levels but loadings have {K}")
     taus = grid.levels_array()
     wts = grid.weights_array()
-    Zs, tau_s = _stack_design(np.ascontiguousarray(lam), taus, wts)
+    Zs, tau_s = _stack_design(lam, taus, wts)
     if np.linalg.matrix_rank(Zs) < r:
         raise ValueError("stacked loading matrix is rank deficient")
     ys = np.repeat(wts, N) * np.tile(x_t, K)
-    if method == "ipm":
-        f, _, ok = _qreg_solve(Zs, ys, tau_s, np.zeros(r), gap_rtol, max_iter)
-        if not ok:
-            warnings.warn(
-                "interior-point factor step did not certify optimality; "
-                "falling back to the LP solver",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            f_lp = lp_oracle_quantile(ys, Zs, tau_s)
-            if _ploss(ys - Zs @ f_lp, tau_s) < _ploss(ys - Zs @ f, tau_s):
-                f = f_lp
-        return f
-    if method == "admm":
-        f, rp, rd, iters, ok = _admm_factor(Zs, ys, tau_s, admm_rho, admm_tol, admm_max_iter)
-        if not ok:
-            raise NumericalError(
-                f"ADMM factor step stopped after {iters} iterations with "
-                f"primal residual {rp:.3e} and dual residual {rd:.3e} "
-                f"(tolerance {admm_tol:.1e})"
-            )
-        return f
-    raise ValueError(f"unknown method {method!r}, expected 'ipm' or 'admm'")
+    return _solve_or_lp(Zs, ys, tau_s, "factor step", gap_rtol, max_iter)
