@@ -5,7 +5,8 @@ regressions for the loadings and per-period composite quantile regressions
 for the factors — until the relative change of the weighted objective drops
 below tolerance, then rotates the solution to the normalized parametrization
 (orthonormal factors, diagonalized loading cross-product at one reference
-level).
+level).  The kernel-smoothed fit (:mod:`dafm.smooth`) shares the outer
+loop, ``_outer_loop``, with its own sweeps and objective plugged in.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
 INNER_GAP_RTOL = 1e-10
 #: Iteration cap for one inner interior-point solve.
 INNER_MAX_ITER = 60
+#: A factor entry above this in magnitude aborts a fit as diverged (a
+#: divergence detector only; no box constraint is imposed).
+MAGNITUDE_GUARD = 1e8
 
 
 @dataclass(frozen=True)
@@ -168,93 +172,118 @@ def _initial_factors(X, r, init, seed):
     return np.ascontiguousarray(math.sqrt(T) * Q * _column_signs(Q))
 
 
-def _alternate(X, F0, grid, cfg, magnitude_guard):
-    """Run the alternating sweeps; returns raw (F, loadings, trace, converged)."""
-    taus = grid.levels_array()
-    wts = grid.weights_array()
-    XT = np.ascontiguousarray(X.T)
-    K = len(grid)
-    N, T = XT.shape
-    F = F0
-    lam = np.zeros((K, N, cfg.r))
+def _outer_loop(F, lam, cfg, sweep, objective):
+    """Alternate ``sweep(F, lam, outer) -> (F, lam, gap misses)`` until the
+    relative change of ``objective(F, lam)`` is below ``cfg.tol`` or
+    ``cfg.max_outer`` sweeps ran; returns ``(F, lam, trace, converged)``.
+
+    Raises :class:`NumericalError` on a NaN or infinite iterate, a factor
+    entry above ``MAGNITUDE_GUARD``, or an objective rise above
+    1e-8·max(1, |prev|).
+    """
     trace = []
     converged = False
     misses = 0
     for outer in range(1, cfg.max_outer + 1):
-        lam, m1 = _loading_sweep(XT, F, taus, lam, INNER_GAP_RTOL, INNER_MAX_ITER)
-        F, m2 = _factor_sweep(X, lam, taus, wts, F, INNER_GAP_RTOL, INNER_MAX_ITER)
-        misses += m1 + m2
+        F, lam, m = sweep(F, lam, outer)
+        misses += m
         if not np.all(np.isfinite(F)) or not np.all(np.isfinite(lam)):
             raise NumericalError(f"non-finite iterate at outer iteration {outer}")
-        if np.max(np.abs(F)) > magnitude_guard:
+        if np.max(np.abs(F)) > MAGNITUDE_GUARD:
             raise NumericalError(
-                f"factor magnitude exceeded {magnitude_guard:.1e} at outer "
+                f"factor magnitude exceeded {MAGNITUDE_GUARD:.1e} at outer "
                 f"iteration {outer}; estimation diverged"
             )
-        obj = _composite_objective_core(X, F, lam, taus, wts)
-        if trace and obj > trace[-1] + 1e-8:
-            raise NumericalError(
-                f"objective increased from {trace[-1]:.12g} to {obj:.12g} at "
-                f"outer iteration {outer}; this indicates an inner-solver bug"
-            )
+        obj = objective(F, lam)
+        if trace:
+            prev = trace[-1]
+            if obj > prev + 1e-8 * max(1.0, abs(prev)):
+                raise NumericalError(
+                    f"objective increased from {prev:.12g} to {obj:.12g} at outer "
+                    f"iteration {outer}; this indicates a subproblem-solver bug"
+                )
+            converged = bool(abs(obj - prev) / max(abs(prev), 1e-12) < cfg.tol)
         trace.append(obj)
-        if len(trace) >= 2:
-            prev = trace[-2]
-            if abs(obj - prev) / max(prev, 1e-12) < cfg.tol:
-                converged = True
-                break
+        if converged:
+            break
     if misses:
         warnings.warn(
             f"{misses} inner quantile regressions stopped short of the duality-gap "
             "target; their iterates were kept only where they improved the objective",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return F, lam, tuple(trace), converged
 
 
-def _fit_raw(X, grid, cfg, magnitude_guard=1e8):
-    """Unnormalized alternating fit shared by the full fit and rank selection."""
+def _alternate(X, F0, grid, cfg):
+    """Run the exact alternating sweeps from ``F0`` with zero loadings;
+    returns raw (F, loadings, trace, converged)."""
+    taus = grid.levels_array()
+    wts = grid.weights_array()
+    XT = np.ascontiguousarray(X.T)
+
+    def sweep(F, lam, outer):
+        lam, m1 = _loading_sweep(XT, F, taus, lam, INNER_GAP_RTOL, INNER_MAX_ITER)
+        F, m2 = _factor_sweep(X, lam, taus, wts, F, INNER_GAP_RTOL, INNER_MAX_ITER)
+        return F, lam, m1 + m2
+
+    def objective(F, lam):
+        return _composite_objective_core(X, F, lam, taus, wts)
+
+    lam0 = np.zeros((len(grid), XT.shape[0], cfg.r))
+    return _outer_loop(F0, lam0, cfg, sweep, objective)
+
+
+def _setup(panel, cfg, grid=None):
+    """The start every fit shares: the panel as a contiguous T×N array with
+    more periods and series than factors, and the 1-based normalization
+    level ``k_star`` for ``grid`` (None without a grid)."""
+    if not isinstance(panel, Panel):
+        panel = Panel(np.asarray(panel, dtype=np.float64))
+    X = np.ascontiguousarray(panel.values)
     T, N = X.shape
     if T <= cfg.r:
         raise ValueError(f"need more than r={cfg.r} periods, got T={T}")
     if N <= cfg.r:
         raise ValueError(f"need more than r={cfg.r} series, got N={N}")
-    F0 = _initial_factors(X, cfg.r, cfg.init, cfg.seed)
-    return _alternate(X, F0, grid, cfg, magnitude_guard)
-
-
-def fit_dafm(panel, grid, cfg, magnitude_guard=1e8):
-    """Estimate a composite-quantile factor model.
-
-    Alternates exact loading and factor sweeps from a deterministic start
-    until the relative objective change falls below ``cfg.tol``, then
-    normalizes so that F'F/T = I and the loading cross-product at the
-    reference level is diagonal with non-increasing diagonal.
-
-    ``magnitude_guard`` aborts with :class:`NumericalError` if any factor
-    entry exceeds it in magnitude (divergence detector only; no box
-    constraint is imposed).
-    """
-    if not isinstance(panel, Panel):
-        panel = Panel(np.asarray(panel, dtype=np.float64))
-    X = np.ascontiguousarray(panel.values)
+    if grid is None:
+        return X, None
     k_star = cfg.k_star if cfg.k_star is not None else grid.median_index()
     if not 1 <= k_star <= len(grid):
         raise ValueError(f"k_star must be in 1..{len(grid)}, got {k_star}")
-    F, lam, trace, converged = _fit_raw(X, grid, cfg, magnitude_guard)
+    return X, k_star
+
+
+def _finish(grid, k_star, F, lam, trace, converged):
+    """The end every fit shares: normalize a raw fit into a FactorFit."""
     F_n, lam_n, report = normalize_fit(F, lam, k_star)
-    return FactorFit(
-        F=F_n,
-        loadings=lam_n,
-        grid=grid,
-        objective_trace=trace,
-        converged=converged,
-        normalization=report,
-    )
+    return FactorFit(F=F_n, loadings=lam_n, grid=grid, objective_trace=trace,
+                     converged=converged, normalization=report)
 
 
-def fit_qfm(panel, tau, r=None, cfg=None, magnitude_guard=1e8):
+def _fit_raw(X, grid, cfg):
+    """Unnormalized alternating fit from the configured start, shared by
+    rank selection and the cold-started forecast windows."""
+    X, _ = _setup(X, cfg)
+    return _alternate(X, _initial_factors(X, cfg.r, cfg.init, cfg.seed), grid, cfg)
+
+
+def fit_dafm(panel, grid, cfg):
+    """Estimate a composite-quantile factor model.
+
+    Alternates exact loading and factor sweeps from a deterministic start
+    until the relative objective change falls below ``cfg.tol`` (the stopping
+    rule and the guards are ``_outer_loop``'s), then normalizes so that
+    F'F/T = I and the loading cross-product at the reference level is
+    diagonal with non-increasing diagonal.
+    """
+    X, k_star = _setup(panel, cfg, grid)
+    F0 = _initial_factors(X, cfg.r, cfg.init, cfg.seed)
+    return _finish(grid, k_star, *_alternate(X, F0, grid, cfg))
+
+
+def fit_qfm(panel, tau, r=None, cfg=None):
     """Single-level quantile factor model: the K=1 special case.
 
     Provide either ``r`` or a full ``cfg`` (whose ``r`` is used; an explicit
@@ -269,7 +298,7 @@ def fit_qfm(panel, tau, r=None, cfg=None, magnitude_guard=1e8):
     if cfg.k_star not in (None, 1):
         raise ValueError(f"a single-level fit has k_star=1, got {cfg.k_star}")
     grid = QuantileGrid((float(tau),))
-    return fit_dafm(panel, grid, cfg, magnitude_guard)
+    return fit_dafm(panel, grid, cfg)
 
 
 def normalize_fit(F_raw, loadings_raw, k):

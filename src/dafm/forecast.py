@@ -187,7 +187,7 @@ def _window_factors(X_win, task, grid, cfg, F_prev):
         F, lam, _, _ = _fit_raw(X_win, g, cfg)
     else:
         F0 = np.ascontiguousarray(np.vstack([F_prev[1:], F_prev[-1:]]))
-        F, lam, _, _ = _alternate(X_win, F0, g, cfg, 1e8)
+        F, lam, _, _ = _alternate(X_win, F0, g, cfg)
     return F
 
 

@@ -2,7 +2,8 @@
 
 Replacing the check loss with its kernel-smoothed version makes every
 subproblem twice differentiable, so the alternating sweeps here use a damped
-Newton method instead of linear programming.  The smoothed residual
+Newton method instead of linear programming; the outer loop, its stopping
+rule and its guards are the exact fit's.  The smoothed residual
 curvature doubles as a conditional-density estimate, which feeds the
 plug-in covariance matrices behind the confidence intervals.
 """
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.stats
 
 from .errors import NumericalError
-from .estimator import FactorFit, FitConfig, fit_dafm, normalize_fit
+from .estimator import _finish, _outer_loop, _setup, fit_dafm
 from .kernels import SmoothConfig
 from .losses import _scurv_vals, _sgrad_vals, _smoothed_objective_core, _survival_vals
 from .panel import Panel
@@ -149,7 +150,7 @@ def _smooth_newton(Z, y, taus, cvec, beta0, h, pdf_coef, deriv_coef, surv_coef,
 
 
 def _smooth_loading_sweep(XT, F, taus, lam, h, pdf_coef, deriv_coef, surv_coef,
-                          max_newton, tol):
+                          max_newton, tol, outer):
     K = taus.shape[0]
     N, T = XT.shape
     out = np.empty_like(lam)
@@ -162,13 +163,16 @@ def _smooth_loading_sweep(XT, F, taus, lam, h, pdf_coef, deriv_coef, surv_coef,
                 pdf_coef, deriv_coef, surv_coef, max_newton, tol,
             )
             if status != 0:
-                return out, k + 1, i + 1
+                raise NumericalError(
+                    f"line search failed in the smoothed loading subproblem at "
+                    f"level k={k + 1}, series i={i + 1} (outer iteration {outer})"
+                )
             out[k, i] = beta
-    return out, 0, 0
+    return out
 
 
 def _smooth_factor_sweep(X, lam, taus, wts, F, h, pdf_coef, deriv_coef, surv_coef,
-                         max_newton, tol):
+                         max_newton, tol, outer):
     T = X.shape[0]
     K, N, r = lam.shape
     Zs = lam.reshape(K * N, r)
@@ -182,38 +186,37 @@ def _smooth_factor_sweep(X, lam, taus, wts, F, h, pdf_coef, deriv_coef, surv_coe
             pdf_coef, deriv_coef, surv_coef, max_newton, tol,
         )
         if status != 0:
-            return out, t + 1
+            raise NumericalError(
+                f"line search failed in the smoothed factor subproblem at "
+                f"period t={t + 1} (outer iteration {outer})"
+            )
         out[t] = f
-    return out, 0
+    return out
 
 
-def fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=None, magnitude_guard=1e8):
+def fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=None):
     """Fit the factor model under the kernel-smoothed objective.
 
     Starting from ``init_fit`` (or, when omitted, a fresh fit under the
     unsmoothed objective with the same ``cfg``), alternates damped-Newton
-    loading and factor sweeps on the smooth loss until the relative change
-    of the smoothed objective falls below ``cfg.tol``, then normalizes.
+    loading and factor sweeps on the smooth loss, then normalizes.  The
+    outer loop is the exact fit's (``estimator._outer_loop``): the same
+    stopping rule on the relative change of the smoothed objective, the
+    same ``cfg.max_outer`` cap and the same guards.  A Newton line search
+    that finds no acceptable step raises :class:`NumericalError` naming the
+    subproblem and the outer iteration.
 
     The smoothed objective trace is non-increasing because every Newton
     step is accepted only on sufficient decrease.
     """
-    if not isinstance(panel, Panel):
-        panel = Panel(np.asarray(panel, dtype=np.float64))
+    X, k_star = _setup(panel, cfg, grid)
     if not isinstance(scfg, SmoothConfig):
         raise TypeError(f"expected SmoothConfig, got {type(scfg).__name__}")
-    X = np.ascontiguousarray(panel.values)
-    T, N = X.shape
-    if T <= cfg.r or N <= cfg.r:
-        raise ValueError(f"panel {T}x{N} too small for r={cfg.r}")
-    k_star = cfg.k_star if cfg.k_star is not None else grid.median_index()
-    if not 1 <= k_star <= len(grid):
-        raise ValueError(f"k_star must be in 1..{len(grid)}, got {k_star}")
     if init_fit is None:
-        init_fit = fit_dafm(panel, grid, cfg, magnitude_guard)
-    F = np.ascontiguousarray(np.asarray(init_fit.F, dtype=np.float64))
-    lam = np.ascontiguousarray(np.asarray(init_fit.loadings, dtype=np.float64))
-    if F.shape != (T, cfg.r) or lam.shape != (len(grid), N, cfg.r):
+        init_fit = fit_dafm(X, grid, cfg)
+    F0 = np.ascontiguousarray(np.asarray(init_fit.F, dtype=np.float64))
+    lam0 = np.ascontiguousarray(np.asarray(init_fit.loadings, dtype=np.float64))
+    if F0.shape != (X.shape[0], cfg.r) or lam0.shape != (len(grid), X.shape[1], cfg.r):
         raise ValueError("init_fit dimensions do not match panel/grid/cfg")
     taus = grid.levels_array()
     wts = grid.weights_array()
@@ -221,54 +224,17 @@ def fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=None, magnitude_guard=1e8
     kern = scfg.kernel
     h = scfg.h
     newton_tol = min(cfg.tol * 1e-2, 1e-8)
-    trace = []
-    converged = False
-    for outer in range(1, cfg.max_outer + 1):
-        lam, k_fail, i_fail = _smooth_loading_sweep(
-            XT, F, taus, lam, h, kern.coef, kern.deriv_coef, kern.survival_coef,
-            40, newton_tol,
-        )
-        if k_fail:
-            raise NumericalError(
-                f"line search failed in the smoothed loading subproblem at "
-                f"level k={k_fail}, series i={i_fail} (outer iteration {outer})"
-            )
-        F, t_fail = _smooth_factor_sweep(
-            X, lam, taus, wts, F, h, kern.coef, kern.deriv_coef, kern.survival_coef,
-            40, newton_tol,
-        )
-        if t_fail:
-            raise NumericalError(
-                f"line search failed in the smoothed factor subproblem at "
-                f"period t={t_fail} (outer iteration {outer})"
-            )
-        if not np.all(np.isfinite(F)) or not np.all(np.isfinite(lam)):
-            raise NumericalError(f"non-finite iterate at outer iteration {outer}")
-        if np.max(np.abs(F)) > magnitude_guard:
-            raise NumericalError(
-                f"factor magnitude exceeded {magnitude_guard:.1e} at outer "
-                f"iteration {outer}; estimation diverged"
-            )
-        obj = _smoothed_objective_core(X, F, lam, taus, wts, h, kern.survival_coef)
-        if trace and obj > trace[-1] + 1e-8:
-            raise NumericalError(
-                f"smoothed objective increased from {trace[-1]:.12g} to "
-                f"{obj:.12g} at outer iteration {outer}; this indicates a "
-                "subproblem-solver bug"
-            )
-        trace.append(obj)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= cfg.tol * max(abs(trace[-2]), 1e-12):
-            converged = True
-            break
-    F_n, lam_n, report = normalize_fit(F, lam, k_star)
-    return FactorFit(
-        F=F_n,
-        loadings=lam_n,
-        grid=grid,
-        objective_trace=tuple(trace),
-        converged=converged,
-        normalization=report,
-    )
+    coefs = (h, kern.coef, kern.deriv_coef, kern.survival_coef, 40, newton_tol)
+
+    def sweep(F, lam, outer):
+        lam = _smooth_loading_sweep(XT, F, taus, lam, *coefs, outer)
+        F = _smooth_factor_sweep(X, lam, taus, wts, F, *coefs, outer)
+        return F, lam, 0
+
+    def objective(F, lam):
+        return _smoothed_objective_core(X, F, lam, taus, wts, h, kern.survival_coef)
+
+    return _finish(grid, k_star, *_outer_loop(F0, lam0, cfg, sweep, objective))
 
 
 # ---------------------------------------------------------------------------

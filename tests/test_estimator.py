@@ -5,6 +5,8 @@ asserted at tight tolerances on moderate panels; the larger replication-based
 checks live in the acceptance suite.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from dafm.errors import NumericalError
 from dafm.estimator import (
     FactorFit,
     FitConfig,
+    _outer_loop,
     fit_dafm,
     fit_qfm,
     mean_pca,
@@ -208,3 +211,61 @@ def test_factor_recovery_on_simulated_panel():
 
     r2 = [adjusted_r2(truth.F0[:, j], fit.F) for j in range(3)]
     assert min(r2) > 0.9
+
+
+def _drive(objectives, F=None, max_outer=10, tol=1e-6):
+    """Run the outer loop with a sweep that returns its input unchanged and
+    an objective that replays ``objectives``; returns the loop's result and
+    the outer-iteration numbers the sweep saw."""
+    replay = iter(objectives)
+    seen = []
+
+    def sweep(F, lam, outer):
+        seen.append(outer)
+        return F, lam, 0
+
+    F = np.ones((4, 1)) if F is None else F
+    cfg = FitConfig(r=1, tol=tol, max_outer=max_outer)
+    out = _outer_loop(F, np.zeros((1, 3, 1)), cfg, sweep,
+                      lambda F, lam: np.float64(next(replay)))
+    return out, seen
+
+
+def test_outer_loop_guards_raise():
+    with pytest.raises(NumericalError, match="non-finite iterate at outer iteration 1"):
+        _drive([1.0], F=np.full((4, 1), np.nan))
+    with pytest.raises(NumericalError, match="factor magnitude exceeded 1.0e\\+08"):
+        _drive([1.0], F=np.full((4, 1), 2e8))
+    with pytest.raises(NumericalError, match="increased from 1 to 1.000001 at outer iteration 2"):
+        _drive([1.0, 1.0 + 1e-6])
+
+
+@pytest.mark.parametrize("ulps", [1, 4])
+def test_ascent_guard_is_relative_to_the_objective(ulps):
+    # a rounding-size rise on an objective of 1e8 is no ascent; an absolute
+    # 1e-8 margin, below one ulp of 1e8, would raise on the 4-ulp rise
+    rise = ulps * np.spacing(1e8)
+    (_, _, trace, converged), _ = _drive([1e8, 1e8 + rise])
+    assert trace == (1e8, 1e8 + rise) and converged
+
+
+def test_outer_loop_stopping_rule_and_cap():
+    (_, _, trace, converged), seen = _drive([1.0, 0.5, 0.5 - 1e-7])
+    assert converged is True and trace == (1.0, 0.5, 0.5 - 1e-7) and seen == [1, 2, 3]
+    (_, _, trace, converged), seen = _drive([1.0, 0.9, 0.8, 0.7, 0.6], max_outer=4)
+    assert converged is False and len(trace) == 4 and seen == [1, 2, 3, 4]
+
+
+def test_gap_misses_warn_once_with_their_count(monkeypatch):
+    import dafm.solvers as solvers
+
+    ipm = solvers._qreg_ipm
+    monkeypatch.setattr(solvers, "_qreg_ipm", lambda *a: (*ipm(*a)[:2], False))
+    p = _panel(11, T=12, N=8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_dafm(p, GRID3, FitConfig(r=1, max_outer=3))
+    misses = [w for w in caught if "stopped short of the duality-gap target" in str(w.message)]
+    assert len(misses) == 1 and misses[0].category is RuntimeWarning
+    outer = len(fit.objective_trace)
+    assert str(misses[0].message).startswith(f"{outer * (3 * 8 + 12)} inner")

@@ -13,13 +13,14 @@ import warnings
 import numpy as np
 import pytest
 
+from dafm.cli import main
 from dafm.errors import NumericalError
 from dafm.estimator import FactorFit, FitConfig, fit_dafm
 from dafm.evalmetrics import adjusted_r2
 from dafm.grids import QuantileGrid
 from dafm.kernels import SmoothConfig, build_kernel
 from dafm.losses import composite_objective, smoothed_composite_objective
-from dafm.panel import Panel
+from dafm.panel import Panel, save_panel
 from dafm.simgen import ErrorDist, density_weights, gen_location_shift
 from dafm.smooth import (
     DENSITY_FLOOR,
@@ -258,3 +259,46 @@ def test_density_floor_rescues_far_out_residuals():
     healthy = loading_ci(fit, panel, scfg, k=1, i=1)
     assert (ci.upper - ci.lower).min() > (healthy.upper - healthy.lower).max()
     assert DENSITY_FLOOR == 1e-8
+
+
+def _failing_newton(monkeypatch, factor, fail_at):
+    """Make the ``fail_at``-th loading (or factor) Newton solve report a
+    failed line search; factor subproblems have K*N rows."""
+    import dafm.smooth as smooth
+
+    newton = smooth._smooth_newton
+    calls = []
+
+    def patched(Z, *args):
+        beta, obj, status = newton(Z, *args)
+        if (Z.shape[0] == 3 * 8) == factor:
+            calls.append(1)
+            if len(calls) == fail_at:
+                status = 1
+        return beta, obj, status
+
+    monkeypatch.setattr(smooth, "_smooth_newton", patched)
+
+
+@pytest.mark.parametrize("factor, fail_at, where", [
+    (False, 2, "loading subproblem at level k=1, series i=2 (outer iteration 1)"),
+    (True, 21, "factor subproblem at period t=1 (outer iteration 2)"),
+])
+def test_line_search_failure_raises(monkeypatch, tmp_path, factor, fail_at, where):
+    # T=20 periods, K*N=24 factor rows: the two subproblem kinds differ in size
+    panel = gen_location_shift(8, 20, ErrorDist.gaussian(), seed=3)[0]
+    grid = QuantileGrid((0.25, 0.5, 0.75))
+    cfg = FitConfig(r=1, max_outer=4)
+    scfg = SmoothConfig.for_sample(20)
+    base = fit_dafm(panel, grid, cfg)
+    _failing_newton(monkeypatch, factor, fail_at)
+    with pytest.raises(NumericalError, match="line search failed") as exc:
+        fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=base)
+    assert where in str(exc.value)
+
+    monkeypatch.undo()
+    _failing_newton(monkeypatch, factor, fail_at)
+    save_panel(panel, tmp_path / "panel.csv")
+    argv = ["infer", "--panel", str(tmp_path / "panel.csv"), "--r", "1",
+            "--levels", "0.25,0.5,0.75", "--t", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
