@@ -142,7 +142,8 @@ def mean_pca(panel, r):
     """Classical principal-component factors of the raw panel.
 
     Returns ``(F, Lambda)`` with ``F`` the top-r left singular vectors scaled
-    by sqrt(T) (so F'F/T = I) and ``Lambda = X'F/T``.
+    by sqrt(T) (so F'F/T = I) and ``Lambda = X'F/T``.  Raises
+    :class:`NumericalError` when the panel's numerical rank is below r.
     """
     X = panel.values if isinstance(panel, Panel) else np.asarray(panel, dtype=np.float64)
     T, N = X.shape
@@ -150,7 +151,7 @@ def mean_pca(panel, r):
         raise ValueError(f"panel {T}x{N} too small for {r} factors")
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     if s[r - 1] <= s[0] * 1e-13:
-        raise ValueError(f"panel has numerical rank below {r}")
+        raise NumericalError(f"panel has numerical rank below {r}")
     F = math.sqrt(T) * U[:, :r]
     F = F * _column_signs(F)
     Lam = X.T @ F / T

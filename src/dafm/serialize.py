@@ -56,7 +56,7 @@ def read_matrix(path):
 
 
 def _format_value(v):
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, float):
         return "%.17g" % v

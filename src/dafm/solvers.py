@@ -1,11 +1,13 @@
 """Weighted quantile regression solvers and the composite factor update.
 
-The production path is an interior-point solver for the quantile-regression
-LP dual (`_qreg_ipm`), written in numpy.  Every call site also keeps the
-coefficient vector it started from, and the returned solution is the best of
-(interior point, vertex polish, previous iterate) measured by the exact
-check-loss objective, so alternating sweeps built on top of it can never
-increase the objective.
+One batched layer solves every exact subproblem: B quantile regressions on
+one shared design, by a Mehrotra interior point on the LP dual
+(`_qreg_ipm`) and a vertex polish (`_qreg_polish`).  A loading sweep is one
+batch (K·N regressions on the factors), a factor sweep another (T periods on
+the stacked loadings), and a single regression is a batch of one.  Each row
+of a result is the best of (interior point, polish, previous iterate) by the
+exact check loss, so the alternating sweeps can never increase the
+objective.
 
 A reference simplex solution via ``scipy.optimize.linprog`` is exposed as
 ``lp_oracle_quantile``.  It is the independent check of the interior point
@@ -32,151 +34,152 @@ _STEP_BACKOFF = 0.9995
 
 
 def _ploss(resid, taus):
-    """Sum of tilted absolute losses with a per-observation level vector."""
+    """Sums of tilted absolute losses along the last axis, one per problem."""
     # Summed left to right: near-ties between the interior point, the polish
     # and the previous iterate are decided on this value, and pairwise
     # summation (np.sum) would decide some of them differently.
-    return np.cumsum(np.maximum(taus * resid, (taus - 1.0) * resid))[-1]
+    return np.cumsum(np.maximum(taus * resid, (taus - 1.0) * resid), axis=-1)[..., -1]
 
 
 def _max_step(x, dx, s, ds):
-    """Largest alpha in (0, 1e30] keeping x + alpha*dx >= 0 and s + alpha*ds >= 0."""
+    """Per problem (last axis), the largest alpha in (0, 1e30] keeping
+    x + alpha*dx >= 0 and s + alpha*ds >= 0."""
     step_x = np.divide(-x, dx, out=np.full(x.shape, 1e30), where=dx < 0.0)
     step_s = np.divide(-s, ds, out=np.full(s.shape, 1e30), where=ds < 0.0)
-    return min(step_x.min(), step_s.min())
+    return np.minimum(step_x.min(axis=-1), step_s.min(axis=-1))
 
 
-def _qreg_ipm(Z, y, taus, gap_rtol, max_iter):
-    """Mehrotra predictor-corrector on the quantile-regression LP dual.
+def _rowdot(u, v):
+    return np.einsum("bj,bj->b", u, v)
 
-    Solves  min_b sum_j rho_{tau_j}(y_j - Z[j] @ b)  through the bounded LP
 
-        min c'a   s.t.  Z'a = Z'(1 - tau),  0 <= a <= 1,   c = -y,
+def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
+    """Mehrotra predictor-corrector on B quantile-regression LP duals that
+    share the (n, r) design ``Z``: row b of the (B, n) response ``Y`` is
 
-    whose multiplier on the equality constraint is -beta.  Returns
-    ``(beta, gap, ok)`` where ``ok`` is False when the duality gap target was
-    not reached or a direction went non-finite.
+        min_beta sum_j rho_{tau_bj}(Y_bj - Z[j] @ beta)
+
+    with ``taus`` broadcast to (B, n), solved through the bounded LP
+    min c'a  s.t.  Z'a = Z'(1 - tau), 0 <= a <= 1,  c = -y, whose
+    multiplier on the equality constraint is -beta.  A row takes no further
+    step once its duality gap meets ``gap_rtol·(1 + sum|y|)`` or goes
+    non-finite.  Returns ``(beta, gap, ok)`` of shapes (B, r), (B,), (B,);
+    ``ok`` is False where the gap target was not reached.
     """
-    n, r = Z.shape
-    c = -y
-    a = 1.0 - taus
-    s = taus.copy()
-    b = np.linalg.lstsq(Z, c)[0]
-    resid = c - Z @ b
-    delta = 1e-4 * (1.0 + np.mean(np.abs(resid)))
-    z = np.maximum(resid, 0.0) + delta
+    (B, n), r = Y.shape, Z.shape[1]
+    ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(n, r * r)
+    diag = slice(None, None, r + 1)
+    s = np.array(np.broadcast_to(taus, (B, n)))
+    a = 1.0 - s
+    b = np.linalg.lstsq(Z, -Y.T)[0].T
+    resid = -Y - b @ Z.T
+    z = np.maximum(resid, 0.0) + 1e-4 * (1.0 + np.mean(np.abs(resid), axis=1, keepdims=True))
     w = z - resid
-    gap = a @ z + s @ w
-    tol = gap_rtol * (1.0 + np.sum(np.abs(y)))
-    ok = True
-    it = 0
-    while gap > tol and it < max_iter:
-        it += 1
+    gap = _rowdot(a, z) + _rowdot(s, w)
+    tol = gap_rtol * (1.0 + np.sum(np.abs(Y), axis=1))
+    beta, gap_out = -b, gap.copy()
+    # rows still iterating, and their state
+    live = np.flatnonzero(gap > tol)
+    a, s, b, z, w, gap, tol_l = (v[live] for v in (a, s, b, z, w, gap, tol))
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
         q = 1.0 / (z / a + w / s)
         rzw = z - w
-        Q = Z.T @ (q.reshape(n, 1) * Z)
-        ridge = 1e-13 * (np.trace(Q) / r + 1.0)
-        Q.flat[:: r + 1] += ridge
+        QQ = q @ ZZ
+        QQ[:, diag] += 1e-13 * (QQ[:, diag].sum(axis=1, keepdims=True) / r + 1.0)
+        Q = QQ.reshape(-1, r, r)
         # affine scaling (predictor) direction
-        dy = np.linalg.solve(Q, Z.T @ (q * rzw))
-        da = q * (Z @ dy - rzw)
+        dy = np.linalg.solve(Q, ((q * rzw) @ Z)[..., None])[..., 0]
+        da = q * (dy @ Z.T - rzw)
         dz = -z - (z / a) * da
         dw = -w + (w / s) * da
-        ap = min(1.0, _max_step(a, da, s, -da))
-        ad = min(1.0, _max_step(z, dz, w, dw))
-        gap_aff = (a + ap * da) @ (z + ad * dz) + (s - ap * da) @ (w + ad * dw)
+        ap = np.minimum(1.0, _max_step(a, da, s, -da))[:, None]
+        ad = np.minimum(1.0, _max_step(z, dz, w, dw))[:, None]
+        gap_aff = _rowdot(a + ap * da, z + ad * dz) + _rowdot(s - ap * da, w + ad * dw)
         mu = gap / (2.0 * n)
-        sigma = (gap_aff / gap) ** 3
-        if sigma > 1.0:
-            sigma = 1.0
-        smu = sigma * mu
+        sigma = np.minimum((gap_aff / gap) ** 3, 1.0)
+        smu = (sigma * mu)[:, None]
         # combined predictor-corrector direction
         rc1 = smu - a * z - da * dz
         rc2 = smu - s * w + da * dw
         rcomb = rc1 / a - rc2 / s
-        dy = np.linalg.solve(Q, -(Z.T @ (q * rcomb)))
-        da = q * (Z @ dy + rcomb)
+        dy = -np.linalg.solve(Q, ((q * rcomb) @ Z)[..., None])[..., 0]
+        da = q * (dy @ Z.T + rcomb)
         dz = (rc1 - z * da) / a
         dw = (rc2 + w * da) / s
-        ap = min(1.0, _STEP_BACKOFF * _max_step(a, da, s, -da))
-        ad = min(1.0, _STEP_BACKOFF * _max_step(z, dz, w, dw))
+        ap = np.minimum(1.0, _STEP_BACKOFF * _max_step(a, da, s, -da))[:, None]
+        ad = np.minimum(1.0, _STEP_BACKOFF * _max_step(z, dz, w, dw))[:, None]
         a = a + ap * da
         s = s - ap * da
         b = b + ad * dy
         z = z + ad * dz
         w = w + ad * dw
-        gap = a @ z + s @ w
-        if not np.isfinite(gap):
-            ok = False
-            break
-    if gap > tol:
-        ok = False
-    return -b, gap, ok
+        gap = _rowdot(a, z) + _rowdot(s, w)
+        beta[live], gap_out[live] = -b, gap
+        keep = (gap > tol_l) & np.isfinite(gap)
+        if not keep.all():
+            live = live[keep]
+            a, s, b, z, w, gap, tol_l = (v[keep] for v in (a, s, b, z, w, gap, tol_l))
+    return beta, gap_out, gap_out <= tol
 
 
-def _qreg_polish(Z, y, taus, beta):
-    """Interpolation polish: refit on the r smallest absolute residuals.
+def _qreg_polish(Z, Y, taus, beta):
+    """Interpolation polish: refit each row on its r smallest absolute residuals.
 
     An optimal quantile-regression coefficient interpolates r observations,
     so the least-squares fit through the r best-fitted points recovers the
-    exact vertex when the interior-point iterate is close to it.  The
-    candidate is kept only when it lowers the objective.
+    exact vertex when the interior-point iterate is close to it.  A row's
+    candidate is kept only when it lowers that row's objective.  Returns
+    ``(beta, objective)``, with ``beta`` itself when no row improved.
     """
     r = Z.shape[1]
-    resid = y - Z @ beta
+    resid = Y - beta @ Z.T
     obj = _ploss(resid, taus)
-    if obj <= 0.0:
+    idx = np.argsort(np.abs(resid), axis=1)[:, :r]
+    # lstsq's cut-off: a singular system gets a fit instead of a batch error
+    Zh_pinv = np.linalg.pinv(Z[idx], rtol=r * np.finfo(np.float64).eps)
+    cand = (Zh_pinv @ np.take_along_axis(Y, idx, axis=1)[..., None])[..., 0]
+    obj_cand = _ploss(Y - cand @ Z.T, taus)
+    better = obj_cand < obj  # False for a non-finite candidate
+    if not better.any():
         return beta, obj
-    idx = np.argsort(np.abs(resid))[:r]
-    cand = np.linalg.lstsq(Z[idx], y[idx])[0]
-    if not np.all(np.isfinite(cand)):
-        return beta, obj
-    obj_cand = _ploss(y - Z @ cand, taus)
-    if obj_cand < obj:
-        return cand, obj_cand
-    return beta, obj
+    return np.where(better[:, None], cand, beta), np.where(better, obj_cand, obj)
 
 
-def _qreg_solve(Z, y, taus, prev, gap_rtol, max_iter):
-    """Interior point + polish, floored at the previous iterate.
+def _qreg_solve(Z, Y, taus, prev, gap_rtol, max_iter):
+    """Interior point + polish for each row of ``Y``, floored at that row of
+    ``prev``: returns ``(beta, objective, gap_ok)`` per row.
 
-    Returns ``(beta, objective, gap_ok)``.  The objective of ``beta`` is
-    never above the objective of ``prev``, making alternating descent
-    monotone by construction even if the interior point stalls.
+    No row's objective is above that of its previous iterate, which makes
+    alternating descent monotone by construction even where the interior
+    point stalls.  A 1-D ``Y`` and ``prev`` are a batch of one, returned as
+    a 1-D ``beta``, a scalar objective and a bool.
     """
-    beta, _, ok = _qreg_ipm(Z, y, taus, gap_rtol, max_iter)
-    if np.all(np.isfinite(beta)):
-        beta, obj = _qreg_polish(Z, y, taus, beta)
-    else:
-        beta = prev.copy()
-        obj = _ploss(y - Z @ prev, taus)
-        ok = False
-    obj_prev = _ploss(y - Z @ prev, taus)
-    if obj_prev < obj:
-        return prev.copy(), obj_prev, ok
+    one = Y.ndim == 1
+    Y, prev = np.atleast_2d(Y), np.atleast_2d(prev)
+    beta, _, ok = _qreg_ipm(Z, Y, taus, gap_rtol, max_iter)
+    beta, obj = _qreg_polish(Z, Y, taus, beta)
+    obj_prev = _ploss(Y - prev @ Z.T, taus)
+    # also floors a non-finite row, whose gap is non-finite and so not ok
+    floor = ~(obj <= obj_prev)
+    if floor.any():
+        beta = np.where(floor[:, None], prev, beta)
+        obj = np.where(floor, obj_prev, obj)
+    ok = np.broadcast_to(ok, obj.shape)
+    if one:
+        return beta[0], obj[0], bool(ok[0])
     return beta, obj, ok
 
 
 def _loading_sweep(XT, F, taus, lam_prev, gap_rtol, max_iter):
-    """Per-(level, series) quantile regressions of each series on fixed factors.
-
-    ``XT`` is the (N, T) transposed panel so each series is a contiguous row.
-    Returns the (K, N, r) loading array and the count of subproblems whose
-    duality-gap target was missed.
-    """
-    K = taus.shape[0]
-    N, T = XT.shape
-    r = F.shape[1]
-    lam = np.empty((K, N, r))
-    misses = 0
-    for k in range(K):
-        tau_vec = np.full(T, taus[k])
-        for i in range(N):
-            beta, _, ok = _qreg_solve(F, XT[i], tau_vec, lam_prev[k, i], gap_rtol, max_iter)
-            lam[k, i] = beta
-            if not ok:
-                misses += 1
-    return lam, misses
+    """Every (level, series) quantile regression on the factors ``F`` as one
+    batch; row k·N + i is series i (row i of the (N, T) ``XT``) at level k.
+    Returns the (K, N, r) loadings and the count of missed gap targets."""
+    K, N, r = lam_prev.shape
+    lam, _, ok = _qreg_solve(F, np.tile(XT, (K, 1)), np.repeat(taus, N)[:, None],
+                             lam_prev.reshape(K * N, r), gap_rtol, max_iter)
+    return lam.reshape(K, N, r), int(np.count_nonzero(~ok))
 
 
 def _stack_design(lam, taus, wts):
@@ -186,24 +189,18 @@ def _stack_design(lam, taus, wts):
 
 
 def _factor_sweep(X, lam, taus, wts, F_prev, gap_rtol, max_iter):
-    """Per-period composite quantile regressions on fixed loadings.
+    """Every period's composite quantile regression on fixed loadings as one
+    batch on the stacked design.
 
     Row-scaling by the level weights turns the weighted composite loss into
     a plain multi-level quantile regression: rho_tau(w*e) = w * rho_tau(e)
-    for w > 0.  Returns the (T, r) factor array and the count of periods
-    whose duality-gap target was missed.
+    for w > 0.  Returns the (T, r) factors and the count of missed gap
+    targets.
     """
-    T = X.shape[0]
     Zs, tau_s = _stack_design(lam, taus, wts)
-    F = np.empty((T, lam.shape[2]))
-    misses = 0
-    for t in range(T):
-        ys = np.outer(wts, X[t]).ravel()
-        f, _, ok = _qreg_solve(Zs, ys, tau_s, F_prev[t], gap_rtol, max_iter)
-        F[t] = f
-        if not ok:
-            misses += 1
-    return F, misses
+    Y = (wts[None, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+    F, _, ok = _qreg_solve(Zs, Y, tau_s, F_prev, gap_rtol, max_iter)
+    return F, int(np.count_nonzero(~ok))
 
 
 def _as_design(y, Z):

@@ -198,8 +198,10 @@ def test_mean_pca_properties():
     X3 = F @ Lam.T
     resid = p.values - X3
     assert np.linalg.norm(resid) < np.linalg.norm(p.values)
-    with pytest.raises(ValueError, match="rank"):
+    # a rank-1 panel is a numerical failure (CLI exit 3), not a usage error
+    with pytest.raises(NumericalError, match="rank"):
         mean_pca(Panel(np.outer(np.arange(1.0, 7.0), np.ones(5)) + 0.0), 2)
+    assert not issubclass(NumericalError, ValueError)
 
 
 def test_factor_recovery_on_simulated_panel():

@@ -120,3 +120,13 @@ def test_fit_directory_contents(tmp_path):
     np.testing.assert_array_equal(loaded.F, F)
     assert loaded.converged is False
     assert loaded.objective_trace == (2.0, 1.0)
+
+
+def test_numpy_bools_are_written_lowercase(tmp_path):
+    # a numpy bool, alone or in an array, is written like a Python bool
+    path = tmp_path / "conf"
+    write_kv(path, {"flag": np.bool_(True), "off": np.False_, "mask": np.array([True, False])})
+    assert path.read_text() == "flag=true\noff=false\nmask=true,false\n"
+    raw = read_kv(path)
+    assert parse_bool(raw["flag"]) is True and parse_bool(raw["off"]) is False
+    assert [parse_bool(v) for v in raw["mask"].split(",")] == [True, False]

@@ -9,6 +9,8 @@ from dafm.grids import QuantileGrid
 from dafm.solvers import (
     _max_step,
     _ploss,
+    _qreg_ipm,
+    _qreg_polish,
     _qreg_solve,
     composite_factor_step,
     lp_oracle_quantile,
@@ -163,3 +165,84 @@ def test_composite_factor_step_validation():
         composite_factor_step(np.ones(3), np.ones((1, 4, 2)), grid)
     with pytest.raises(ValueError, match="levels"):
         composite_factor_step(np.ones(4), np.ones((2, 4, 2)), grid)
+
+
+# -- the batched layer ---------------------------------------------------------
+
+@st.composite
+def _degenerate_batch(draw):
+    """One degenerate integer design, several responses, a level per row."""
+    Z, y, _ = draw(_degenerate_design())
+    rows = [y] + [np.array(draw(st.lists(st.integers(-2, 2), min_size=len(Z), max_size=len(Z))), float)
+                  for _ in range(draw(st.integers(1, 4)))]
+    taus = draw(st.lists(st.sampled_from([0.01, 0.5, 0.99]), min_size=len(rows), max_size=len(rows)))
+    return Z, np.array(rows), np.array(taus)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_degenerate_batch())
+def test_batched_rows_match_lp_oracle_on_degenerate_designs(case):
+    Z, Y, tau_rows = case
+    assume(np.linalg.matrix_rank(Z) == Z.shape[1])
+    beta, _, _ = _qreg_solve(Z, Y, tau_rows[:, None], np.zeros((len(Y), Z.shape[1])), 1e-10, 60)
+    for y, tau, b in zip(Y, tau_rows, beta):
+        taus = np.full(y.size, tau)
+        slack = 1e-9 * (1.0 + np.abs(y).sum())
+        assert _ploss(y - Z @ b, taus) <= _ploss(y - Z @ lp_oracle_quantile(y, Z, tau), taus) + slack
+
+
+def test_rows_at_their_gap_target_take_no_step():
+    # row 0 is an exact fit at scale 1e8, so the least-squares start already
+    # meets its gap target; the noisy rows must still iterate
+    rng = np.random.default_rng(4)
+    Z, _ = _instance(rng, 20, 3)
+    Y = np.vstack([Z @ np.array([1e8, -2e8, 3e8]), rng.standard_normal((3, 20))])
+    taus = np.array([[0.5], [0.1], [0.5], [0.9]])
+    start, _, ok0 = _qreg_ipm(Z, Y, taus, 1e-10, 0)
+    beta, _, ok = _qreg_ipm(Z, Y, taus, 1e-10, 60)
+    assert ok0.tolist() == [True, False, False, False] and ok.all()
+    np.testing.assert_array_equal(beta[0], start[0])
+    assert not np.any(np.all(beta[1:] == start[1:], axis=1))
+    # each noisy row reaches the optimum it reaches alone
+    for k in range(1, 4):
+        alone, _, _ = _qreg_solve(Z, Y[k], np.full(20, taus[k, 0]), np.zeros(3), 1e-10, 60)
+        solo = _ploss(Y[k] - Z @ alone, taus[k])
+        assert _ploss(Y[k] - Z @ beta[k], taus[k]) <= solo + 1e-8 * (1.0 + np.abs(Y[k]).sum())
+
+
+def test_polish_survives_a_singular_interpolation_system():
+    # rows 0 and 1 of Z coincide and so do the responses there, so the two
+    # smallest residuals of row 0's start pick a singular 2x2 system
+    Z = np.column_stack([np.ones(8), [0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+    y0 = np.array([1.0, 1.0, 3.0, 2.5, 6.0, 4.0, 9.0, 5.0])
+    Y = np.vstack([y0, y0[::-1]])
+    taus = np.full(8, 0.5)
+    beta0 = np.array([[1.0, 0.3], [0.0, 1.0]])
+    assert sorted(np.argsort(np.abs(y0 - Z @ beta0[0]))[:2]) == [0, 1]
+    polished, obj = _qreg_polish(Z, Y, taus, beta0)
+    for k in range(2):
+        alone, obj_alone = _qreg_polish(Z, Y[k:k + 1], taus, beta0[k:k + 1])
+        np.testing.assert_allclose(polished[k], alone[0], rtol=1e-12)
+        assert obj[k] == pytest.approx(obj_alone[0], rel=1e-12)
+    beta, obj, ok = _qreg_solve(Z, Y, taus, beta0, 1e-10, 60)
+    for k in range(2):
+        _, o1, ok1 = _qreg_solve(Z, Y[k], taus, beta0[k], 1e-10, 60)
+        assert obj[k] == pytest.approx(o1, rel=1e-12) and ok[k] == ok1
+
+
+def test_every_row_is_floored_at_its_previous_iterate():
+    rng = np.random.default_rng(21)
+    Z, _ = _instance(rng, 30, 3)
+    Y = (Z @ rng.standard_normal((3, 12)) + rng.standard_t(df=2, size=(30, 12))).T
+    taus = rng.choice([0.1, 0.5, 0.9], size=(12, 1))
+    b_opt, obj_opt, _ = _qreg_solve(Z, Y, taus, np.zeros((12, 3)), 1e-10, 60)
+    # half the rows start at their optimum, half far away
+    prev = np.where(np.arange(12)[:, None] % 2 == 0, b_opt, 10.0 * rng.standard_normal((12, 3)))
+    obj_prev = _ploss(Y - prev @ Z.T, taus)
+    # with no interior-point step the floor alone keeps the optimal rows
+    for max_iter in (0, 60):
+        beta, obj, _ = _qreg_solve(Z, Y, taus, prev, 1e-10, max_iter)
+        np.testing.assert_allclose(obj, _ploss(Y - beta @ Z.T, taus), rtol=1e-13)
+        assert np.all(obj <= obj_prev)
+    assert np.all(obj <= obj_opt + 1e-9)
