@@ -49,8 +49,9 @@ def _max_step(x, dx, s, ds):
     return np.minimum(step_x.min(axis=-1), step_s.min(axis=-1))
 
 
-def _rowdot(u, v):
-    return np.einsum("bj,bj->b", u, v)
+def _gap(a, z, s, w):
+    """Per-row duality gap a'z + s'w of the bounded LP."""
+    return np.einsum("bj,bj->b", a, z) + np.einsum("bj,bj->b", s, w)
 
 
 def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
@@ -75,7 +76,7 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
     resid = -Y - b @ Z.T
     z = np.maximum(resid, 0.0) + 1e-4 * (1.0 + np.mean(np.abs(resid), axis=1, keepdims=True))
     w = z - resid
-    gap = _rowdot(a, z) + _rowdot(s, w)
+    gap = _gap(a, z, s, w)
     tol = gap_rtol * (1.0 + np.sum(np.abs(Y), axis=1))
     beta, gap_out = -b, gap.copy()
     # rows still iterating, and their state
@@ -96,7 +97,7 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
         dw = -w + (w / s) * da
         ap = np.minimum(1.0, _max_step(a, da, s, -da))[:, None]
         ad = np.minimum(1.0, _max_step(z, dz, w, dw))[:, None]
-        gap_aff = _rowdot(a + ap * da, z + ad * dz) + _rowdot(s - ap * da, w + ad * dw)
+        gap_aff = _gap(a + ap * da, z + ad * dz, s - ap * da, w + ad * dw)
         mu = gap / (2.0 * n)
         sigma = np.minimum((gap_aff / gap) ** 3, 1.0)
         smu = (sigma * mu)[:, None]
@@ -115,7 +116,7 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
         b = b + ad * dy
         z = z + ad * dz
         w = w + ad * dw
-        gap = _rowdot(a, z) + _rowdot(s, w)
+        gap = _gap(a, z, s, w)
         beta[live], gap_out[live] = -b, gap
         keep = (gap > tol_l) & np.isfinite(gap)
         if not keep.all():
