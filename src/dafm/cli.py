@@ -619,12 +619,13 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, so it is caught before the usage errors
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

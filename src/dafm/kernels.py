@@ -7,6 +7,10 @@ k is an even polynomial kernel supported on [-1, 1]: integral 1, moments
 support edges).  K(u) = int_u^1 k(s) ds is the survival function used by the
 smoothed check loss; K(u) = 1 for u <= -1 and 0 for u >= 1 exactly.
 Polynomial coefficients are stored ascending in powers of s.
+
+``_horner``, ``_pdf_vals`` and ``_survival_vals`` are the one evaluator of
+these polynomials on arrays: the ``Kernel`` methods and the smoothed-loss
+cores in ``losses`` all go through them.
 """
 
 from __future__ import annotations
@@ -20,13 +24,26 @@ import numpy as np
 __all__ = ["Kernel", "SmoothConfig", "build_kernel", "default_bandwidth_exponent"]
 
 
-def _polyval_ascending(coef, x):
-    """Evaluate a polynomial given ascending coefficients (Horner)."""
-    x = np.asarray(x, dtype=float)
+def _horner(coef, x):
+    """Evaluate a polynomial with ascending coefficients at the array x."""
     out = np.zeros_like(x)
-    for c in coef[::-1]:
-        out = out * x + c
+    for idx in range(coef.size - 1, -1, -1):
+        out = out * x + coef[idx]
     return out
+
+
+def _survival_vals(surv_coef, u):
+    """K(u) with exact saturation outside [-1, 1]."""
+    return np.where(u <= -1.0, 1.0, np.where(u >= 1.0, 0.0, _horner(surv_coef, u)))
+
+
+def _pdf_vals(coef, u):
+    """The polynomial ``coef`` on (-1, 1), zero outside: k(u), or k'(u) for deriv_coef."""
+    return np.where(np.abs(u) < 1.0, _horner(coef, u), 0.0)
+
+
+def _scalar_out(out):
+    return out if out.ndim else float(out)
 
 
 def _solve_fraction_system(M, b):
@@ -82,24 +99,14 @@ class Kernel:
         return self.order >= 8
 
     def pdf(self, u):
-        u = np.asarray(u, dtype=float)
-        inside = np.abs(u) < 1.0
-        out = np.where(inside, _polyval_ascending(self.coef, u), 0.0)
-        return out if out.ndim else float(out)
+        return _scalar_out(_pdf_vals(self.coef, np.asarray(u, dtype=float)))
 
     def survival(self, u):
         """K(u) = int_u^1 k(s) ds, exactly 1 below -1 and 0 above 1."""
-        u = np.asarray(u, dtype=float)
-        out = np.where(
-            u <= -1.0, 1.0, np.where(u >= 1.0, 0.0, _polyval_ascending(self.survival_coef, u))
-        )
-        return out if out.ndim else float(out)
+        return _scalar_out(_survival_vals(self.survival_coef, np.asarray(u, dtype=float)))
 
     def deriv(self, u):
-        u = np.asarray(u, dtype=float)
-        inside = np.abs(u) < 1.0
-        out = np.where(inside, _polyval_ascending(self.deriv_coef, u), 0.0)
-        return out if out.ndim else float(out)
+        return _scalar_out(_pdf_vals(self.deriv_coef, np.asarray(u, dtype=float)))
 
 
 def build_kernel(m):

@@ -9,12 +9,18 @@ curvature          vrho''(e) = (2/h) k(u) + (e/h^2) k'(u)      (tau-free)
 
 The smoothed loss equals the check loss exactly for |e| >= h.  The composite
 objective is M_NT = (1/NT) sum_k sum_i sum_t w_k rho_{tau_k}(X_it - lambda'f_t).
+
+Each smoothed formula has one array core (``_sloss_vals``, ``_sgrad_vals``,
+``_scurv_vals``, taking the ``Kernel`` and h).  The public scalar-or-array
+functions, the smoothed objective, the damped-Newton sweeps and the plug-in
+density matrices in ``smooth`` all evaluate through these cores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .kernels import _pdf_vals, _scalar_out, _survival_vals
 from .panel import Panel
 
 __all__ = [
@@ -31,34 +37,21 @@ __all__ = [
 # array cores shared with the estimator and the smoothed fit
 # ---------------------------------------------------------------------------
 
-def _horner(coef, x):
-    out = np.zeros_like(x)
-    for idx in range(coef.size - 1, -1, -1):
-        out = out * x + coef[idx]
-    return out
+def _sloss_vals(kernel, taus, e, h):
+    """Smoothed loss (tau - K(u)) e, u = e/h."""
+    return (taus - _survival_vals(kernel.survival_coef, e / h)) * e
 
 
-def _survival_vals(surv_coef, u):
-    """K(u) with exact saturation outside [-1, 1]."""
-    vals = _horner(surv_coef, u)
-    return np.where(u <= -1.0, 1.0, np.where(u >= 1.0, 0.0, vals))
-
-
-def _pdf_vals(coef, u):
-    vals = _horner(coef, u)
-    return np.where(np.abs(u) < 1.0, vals, 0.0)
-
-
-def _sgrad_vals(surv_coef, pdf_coef, taus, e, h):
+def _sgrad_vals(kernel, taus, e, h):
     """Smoothed-loss derivative tau - K(u) + u k(u), u = e/h."""
     u = e / h
-    return taus - _survival_vals(surv_coef, u) + u * _pdf_vals(pdf_coef, u)
+    return taus - _survival_vals(kernel.survival_coef, u) + u * _pdf_vals(kernel.coef, u)
 
 
-def _scurv_vals(pdf_coef, deriv_coef, e, h):
+def _scurv_vals(kernel, e, h):
     """Smoothed-loss curvature (2 k(u) + u k'(u)) / h, u = e/h."""
     u = e / h
-    return (2.0 * _pdf_vals(pdf_coef, u) + u * _pdf_vals(deriv_coef, u)) / h
+    return (2.0 * _pdf_vals(kernel.coef, u) + u * _pdf_vals(kernel.deriv_coef, u)) / h
 
 
 def _check_loss_sum(R, tau):
@@ -75,12 +68,11 @@ def _composite_objective_core(X, F, lam, taus, w):
     return total / (N * T)
 
 
-def _smoothed_objective_core(X, F, lam, taus, w, h, surv_coef):
+def _smoothed_objective_core(X, F, lam, taus, w, h, kernel):
     T, N = X.shape
     total = 0.0
     for k in range(taus.size):
-        R = X - F @ lam[k].T
-        total += w[k] * np.sum((taus[k] - _survival_vals(surv_coef, R / h)) * R)
+        total += w[k] * np.sum(_sloss_vals(kernel, taus[k], X - F @ lam[k].T, h))
     return total / (N * T)
 
 
@@ -97,31 +89,26 @@ def check_loss(eps, tau):
     """rho_tau(eps); vectorized, scalar in gives scalar out."""
     _require_level(tau)
     e = np.asarray(eps, dtype=float)
-    out = np.maximum(tau * e, (tau - 1.0) * e)
-    return out if out.ndim else float(out)
+    return _scalar_out(np.maximum(tau * e, (tau - 1.0) * e))
 
 
 def smoothed_check_loss(eps, tau, cfg):
     """vrho_tau(eps) = (tau - K(eps/h)) eps for the configured kernel/bandwidth."""
     _require_level(tau)
-    e = np.atleast_1d(np.asarray(eps, dtype=float))
-    out = (tau - _survival_vals(cfg.kernel.survival_coef, e / cfg.bandwidth)) * e
-    return out if np.ndim(eps) else float(out[0])
+    e = np.asarray(eps, dtype=float)
+    return _scalar_out(_sloss_vals(cfg.kernel, tau, e, cfg.bandwidth))
 
 
 def smoothed_check_grad(eps, tau, cfg):
     """d/d eps of the smoothed check loss: tau - K(u) + u k(u), u = eps/h."""
     _require_level(tau)
-    e = np.atleast_1d(np.asarray(eps, dtype=float))
-    out = _sgrad_vals(cfg.kernel.survival_coef, cfg.kernel.coef, tau, e, cfg.bandwidth)
-    return out if np.ndim(eps) else float(out[0])
+    e = np.asarray(eps, dtype=float)
+    return _scalar_out(_sgrad_vals(cfg.kernel, tau, e, cfg.bandwidth))
 
 
 def smoothed_check_curv(eps, cfg):
     """Second derivative (2/h) k(u) + (eps/h^2) k'(u); independent of tau."""
-    e = np.atleast_1d(np.asarray(eps, dtype=float))
-    out = _scurv_vals(cfg.kernel.coef, cfg.kernel.deriv_coef, e, cfg.bandwidth)
-    return out if np.ndim(eps) else float(out[0])
+    return _scalar_out(_scurv_vals(cfg.kernel, np.asarray(eps, dtype=float), cfg.bandwidth))
 
 
 def _objective_inputs(panel, F, loadings, grid):
@@ -152,7 +139,6 @@ def smoothed_composite_objective(panel, F, loadings, grid, scfg):
     X, F, lam = _objective_inputs(panel, F, loadings, grid)
     return float(
         _smoothed_objective_core(
-            X, F, lam, grid.levels_array(), grid.weights_array(),
-            scfg.bandwidth, scfg.kernel.survival_coef,
+            X, F, lam, grid.levels_array(), grid.weights_array(), scfg.bandwidth, scfg.kernel
         )
     )

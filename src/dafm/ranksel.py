@@ -61,17 +61,6 @@ def _default_s_max(N, T):
     return max(1, min(8, min(N, T) // 3))
 
 
-def _candidate_fit(panel, grid, cfg):
-    """Un-normalized fit, falling back to random init when the start-up
-    PCA is rank deficient (candidate counts above the data's rank)."""
-    try:
-        return _fit_raw(panel.values, grid, cfg)
-    except ValueError:
-        if cfg.init == "random-orthonormal":
-            raise
-        return _fit_raw(panel.values, grid, replace(cfg, init="random-orthonormal"))
-
-
 def select_rank_ic(panel, grid, s_max=None, penalty=None, cfg=None):
     """Pick the factor count minimizing objective + count × penalty.
 
@@ -96,7 +85,7 @@ def select_rank_ic(panel, grid, s_max=None, penalty=None, cfg=None):
     objectives = np.empty(s_max)
     flags = []
     for ell in range(1, s_max + 1):
-        F, lam, trace, converged = _candidate_fit(panel, grid, replace(cfg, r=ell))
+        F, lam, trace, converged = _fit_raw(X, grid, replace(cfg, r=ell))
         objectives[ell - 1] = composite_objective(panel, F, lam, grid)
         flags.append(bool(converged))
     if not all(flags):
@@ -146,7 +135,7 @@ def select_rank_eigen(panel, grid, s_max=None, thresholds="auto", cfg=None):
     if cfg is None:
         cfg = FitConfig(r=s_max)
 
-    F, lam, trace, converged = _candidate_fit(panel, grid, replace(cfg, r=s_max))
+    F, lam, trace, converged = _fit_raw(X, grid, replace(cfg, r=s_max))
     if not converged:
         warnings.warn(
             "fit at s_max stopped at the iteration cap; eigenvalues computed "

@@ -6,6 +6,11 @@ Newton method instead of linear programming; the outer loop, its stopping
 rule and its guards are the exact fit's.  The smoothed residual
 curvature doubles as a conditional-density estimate, which feeds the
 plug-in covariance matrices behind the confidence intervals.
+
+Both plug-in matrices are one curvature-weighted Gram (``_gram``): Psi_t
+on the stacked loadings of period t, Phi_ki on the factors.  Both interval
+kinds share one sandwich (``_interval``): the psd flag on the raw matrix,
+inversion of the density-floored one, and the normal half-widths.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .errors import NumericalError
 from .estimator import _finish, _outer_loop, _setup, fit_dafm
 from .kernels import SmoothConfig
-from .losses import _scurv_vals, _sgrad_vals, _smoothed_objective_core, _survival_vals
+from .losses import _scurv_vals, _sgrad_vals, _sloss_vals, _smoothed_objective_core
 from .panel import Panel
 
 __all__ = [
@@ -75,13 +80,7 @@ class ConfidenceIntervals:
 # damped-Newton sweeps on the smoothed loss
 # ---------------------------------------------------------------------------
 
-def _sloss_sum(surv_coef, taus, cvec, e, h):
-    u = e / h
-    return np.sum(cvec * (taus - _survival_vals(surv_coef, u)) * e)
-
-
-def _smooth_newton(Z, y, taus, cvec, beta0, h, pdf_coef, deriv_coef, surv_coef,
-                   max_newton, tol):
+def _smooth_newton(Z, y, taus, cvec, beta0, h, kernel, max_newton, tol):
     """Damped Newton with Levenberg regularization and Armijo backtracking.
 
     Minimizes sum_j cvec[j] * smoothed_loss_{taus[j]}(y[j] - Z[j] @ beta)
@@ -93,14 +92,14 @@ def _smooth_newton(Z, y, taus, cvec, beta0, h, pdf_coef, deriv_coef, surv_coef,
     n, r = Z.shape
     beta = beta0.copy()
     e = y - Z @ beta
-    obj = _sloss_sum(surv_coef, taus, cvec, e, h)
+    obj = np.sum(cvec * _sloss_vals(kernel, taus, e, h))
     status = 0
     for _ in range(max_newton):
-        gvals = cvec * _sgrad_vals(surv_coef, pdf_coef, taus, e, h)
+        gvals = cvec * _sgrad_vals(kernel, taus, e, h)
         g = -(Z.T @ gvals)
         if np.max(np.abs(g)) <= tol * (1.0 + abs(obj)):
             break
-        hvals = cvec * _scurv_vals(pdf_coef, deriv_coef, e, h)
+        hvals = cvec * _scurv_vals(kernel, e, h)
         H = Z.T @ (hvals.reshape(n, 1) * Z)
         hscale = 1.0
         gersh = np.inf
@@ -130,7 +129,7 @@ def _smooth_newton(Z, y, taus, cvec, beta0, h, pdf_coef, deriv_coef, surv_coef,
                 step = 1.0
                 for _ in range(30):
                     e_new = y - Z @ (beta + step * d)
-                    obj_new = _sloss_sum(surv_coef, taus, cvec, e_new, h)
+                    obj_new = np.sum(cvec * _sloss_vals(kernel, taus, e_new, h))
                     if obj_new <= obj + 1e-4 * step * gd:
                         beta = beta + step * d
                         e = e_new
@@ -149,8 +148,7 @@ def _smooth_newton(Z, y, taus, cvec, beta0, h, pdf_coef, deriv_coef, surv_coef,
     return beta, obj, status
 
 
-def _smooth_loading_sweep(XT, F, taus, lam, h, pdf_coef, deriv_coef, surv_coef,
-                          max_newton, tol, outer):
+def _smooth_loading_sweep(XT, F, taus, lam, h, kernel, max_newton, tol, outer):
     K = taus.shape[0]
     N, T = XT.shape
     out = np.empty_like(lam)
@@ -159,8 +157,7 @@ def _smooth_loading_sweep(XT, F, taus, lam, h, pdf_coef, deriv_coef, surv_coef,
         tau_vec = np.full(T, taus[k])
         for i in range(N):
             beta, _, status = _smooth_newton(
-                F, XT[i], tau_vec, ones, lam[k, i], h,
-                pdf_coef, deriv_coef, surv_coef, max_newton, tol,
+                F, XT[i], tau_vec, ones, lam[k, i], h, kernel, max_newton, tol
             )
             if status != 0:
                 raise NumericalError(
@@ -171,8 +168,7 @@ def _smooth_loading_sweep(XT, F, taus, lam, h, pdf_coef, deriv_coef, surv_coef,
     return out
 
 
-def _smooth_factor_sweep(X, lam, taus, wts, F, h, pdf_coef, deriv_coef, surv_coef,
-                         max_newton, tol, outer):
+def _smooth_factor_sweep(X, lam, taus, wts, F, h, kernel, max_newton, tol, outer):
     T = X.shape[0]
     K, N, r = lam.shape
     Zs = lam.reshape(K * N, r)
@@ -181,10 +177,7 @@ def _smooth_factor_sweep(X, lam, taus, wts, F, h, pdf_coef, deriv_coef, surv_coe
     out = np.empty_like(F)
     for t in range(T):
         ys = np.tile(X[t], K)
-        f, _, status = _smooth_newton(
-            Zs, ys, tau_s, cvec, F[t], h,
-            pdf_coef, deriv_coef, surv_coef, max_newton, tol,
-        )
+        f, _, status = _smooth_newton(Zs, ys, tau_s, cvec, F[t], h, kernel, max_newton, tol)
         if status != 0:
             raise NumericalError(
                 f"line search failed in the smoothed factor subproblem at "
@@ -221,18 +214,15 @@ def fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=None):
     taus = grid.levels_array()
     wts = grid.weights_array()
     XT = np.ascontiguousarray(X.T)
-    kern = scfg.kernel
-    h = scfg.h
-    newton_tol = min(cfg.tol * 1e-2, 1e-8)
-    coefs = (h, kern.coef, kern.deriv_coef, kern.survival_coef, 40, newton_tol)
+    newton = (scfg.h, scfg.kernel, 40, min(cfg.tol * 1e-2, 1e-8))
 
     def sweep(F, lam, outer):
-        lam = _smooth_loading_sweep(XT, F, taus, lam, *coefs, outer)
-        F = _smooth_factor_sweep(X, lam, taus, wts, F, *coefs, outer)
+        lam = _smooth_loading_sweep(XT, F, taus, lam, *newton, outer)
+        F = _smooth_factor_sweep(X, lam, taus, wts, F, *newton, outer)
         return F, lam, 0
 
     def objective(F, lam):
-        return _smoothed_objective_core(X, F, lam, taus, wts, h, kern.survival_coef)
+        return _smoothed_objective_core(X, F, lam, taus, wts, scfg.h, scfg.kernel)
 
     return _finish(grid, k_star, *_outer_loop(F0, lam0, cfg, sweep, objective))
 
@@ -256,47 +246,37 @@ def _fit_arrays(fit, panel):
     return X, F, lam
 
 
-def _curvature(E, scfg, floor):
-    """Density estimates (2/h)k(u) + (e/h^2)k'(u) with optional flooring."""
-    vals = _scurv_vals(scfg.kernel.coef, scfg.kernel.deriv_coef, E, scfg.h)
-    if floor is not None:
-        vals = np.maximum(vals, floor)
-    return vals
+def _check_index(name, value, upper):
+    if not 1 <= value <= upper:
+        raise ValueError(f"{name} index must be in 1..{upper}, got {value}")
 
 
-def _psi_all(fit, X, F, lam, scfg, floor):
-    T = X.shape[0]
-    N = X.shape[1]
-    r = F.shape[1]
-    wts = fit.grid.weights_array()
-    psi = np.zeros((T, r, r))
-    for k in range(lam.shape[0]):
-        E = X - F @ lam[k].T
-        C = _curvature(E, scfg, floor)
-        psi += wts[k] * np.einsum("ti,ia,ib->tab", C, lam[k], lam[k])
-    psi /= N
-    return 0.5 * (psi + psi.transpose(0, 2, 1))
+def _gram(D, C, n):
+    """Symmetrized sum_j C[..., j] D_j D_j' / n for the rows D_j of a (J, r)
+    design; any leading axes of C lead the (r, r) result."""
+    G = (D.T * C[..., np.newaxis, :]) @ D / n
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
-def _psi_single(fit, X, F, lam, scfg, t, floor):
-    N = X.shape[1]
-    r = F.shape[1]
-    wts = fit.grid.weights_array()
-    psi = np.zeros((r, r))
-    for k in range(lam.shape[0]):
-        e = X[t - 1] - lam[k] @ F[t - 1]
-        c = _curvature(e, scfg, floor)
-        psi += wts[k] * (lam[k] * c[:, np.newaxis]).T @ lam[k]
-    psi /= N
-    return 0.5 * (psi + psi.T)
+def _psi(wts, lam, C):
+    """Psi_t for every period of the curvatures C (K, T, N): the Gram of the
+    K*N stacked loadings, weighted by w_k times the curvature."""
+    K, N, r = lam.shape
+    WC = (wts[:, np.newaxis, np.newaxis] * C).transpose(1, 0, 2).reshape(C.shape[1], K * N)
+    return _gram(lam.reshape(K * N, r), WC, N)
 
 
-def _phi_one(fit, X, F, lam, scfg, k, i, floor):
-    T = X.shape[0]
-    e = X[:, i - 1] - F @ lam[k - 1, i - 1]
-    c = _curvature(e, scfg, floor)
-    phi = (F * c[:, np.newaxis]).T @ F / T
-    return 0.5 * (phi + phi.T)
+def _residual_curvature(X, F, lam, scfg):
+    """Curvature at every fitted residual X - F lam_k', shape (K, T, N)."""
+    return _scurv_vals(scfg.kernel, X - F @ lam.transpose(0, 2, 1), scfg.h)
+
+
+def _loading_curvature(fit, panel, scfg, k, i):
+    """Fit arrays and the curvature at the residuals of 1-based level k, series i."""
+    X, F, lam = _fit_arrays(fit, panel)
+    _check_index("level", k, lam.shape[0])
+    _check_index("series", i, lam.shape[1])
+    return X, F, lam, _scurv_vals(scfg.kernel, X[:, i - 1] - F @ lam[k - 1, i - 1], scfg.h)
 
 
 def plug_in_psi(fit, panel, scfg):
@@ -309,18 +289,13 @@ def plug_in_psi(fit, panel, scfg):
     density floor first.
     """
     X, F, lam = _fit_arrays(fit, panel)
-    return _psi_all(fit, X, F, lam, scfg, None)
+    return _psi(fit.grid.weights_array(), lam, _residual_curvature(X, F, lam, scfg))
 
 
 def plug_in_phi(fit, panel, scfg, k, i):
     """Density-weighted factor second moment for 1-based level k, series i."""
-    X, F, lam = _fit_arrays(fit, panel)
-    K, N = lam.shape[0], lam.shape[1]
-    if not 1 <= k <= K:
-        raise ValueError(f"level index must be in 1..{K}, got {k}")
-    if not 1 <= i <= N:
-        raise ValueError(f"series index must be in 1..{N}, got {i}")
-    return _phi_one(fit, X, F, lam, scfg, k, i, None)
+    _, F, _, c = _loading_curvature(fit, panel, scfg, k, i)
+    return _gram(F, c, F.shape[0])
 
 
 def tau_comoments(grid):
@@ -342,8 +317,30 @@ def _check_aspect(T, N):
         )
 
 
-def _min_eig(M):
-    return float(np.linalg.eigvalsh(M)[0])
+def _interval(est, raw, M, middle, n, level, where, cov_field, **fields):
+    """Intervals est ± z sqrt(diag(cov)), cov = M^-1 middle M^-1 / n stored as ``cov_field``.
+
+    ``raw`` (the unfloored plug-in matrix) only sets the ``psd`` flag; ``M``
+    (its density-floored version) is inverted.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    psd_ok = np.linalg.eigvalsh(raw)[0] >= PSD_TOL
+    if np.linalg.eigvalsh(M)[0] <= 0.0:
+        raise NumericalError(
+            f"plug-in density matrix {where} is not positive definite; "
+            "confidence intervals are unavailable"
+        )
+    M_inv = np.linalg.inv(M)
+    cov = M_inv @ middle @ M_inv / n
+    cov = 0.5 * (cov + cov.T)
+    z = scipy.special.ndtri(0.5 * (1.0 + level))  # the standard normal quantile
+    half = z * np.sqrt(np.maximum(np.diag(cov), 0.0))
+    asym = AsymptoticCov(psd=psd_ok, **{cov_field: cov}, **fields)
+    return ConfidenceIntervals(
+        estimate=est.copy(), lower=est - half, upper=est + half,
+        level=float(level), cov=cov, asym=asym,
+    )
 
 
 def factor_ci(fit, panel, scfg, t, level=0.95):
@@ -354,36 +351,18 @@ def factor_ci(fit, panel, scfg, t, level=0.95):
     Raises :class:`NumericalError` when that matrix is not positive definite
     even after density flooring.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
     X, F, lam = _fit_arrays(fit, panel)
     T, N = X.shape
-    if not 1 <= t <= T:
-        raise ValueError(f"period index must be in 1..{T}, got {t}")
+    _check_index("period", t, T)
     _check_aspect(T, N)
     wts = fit.grid.weights_array()
-    psi_raw = _psi_single(fit, X, F, lam, scfg, t, None)
-    psi = _psi_single(fit, X, F, lam, scfg, t, DENSITY_FLOOR)
-    psd_ok = _min_eig(psi_raw) >= PSD_TOL
-    if _min_eig(psi) <= 0.0:
-        raise NumericalError(
-            f"plug-in density matrix at period {t} is not positive definite; "
-            "confidence intervals are unavailable"
-        )
+    C = _residual_curvature(X[t - 1:t], F[t - 1:t], lam, scfg)
+    psi_raw = _psi(wts, lam, C)[0]
+    psi = _psi(wts, lam, np.maximum(C, DENSITY_FLOOR))[0]
     sigma = np.einsum("kia,mib->kmab", lam, lam) / N
-    coef = np.outer(wts, wts) * tau_comoments(fit.grid)
-    omega = np.einsum("km,kmab->ab", coef, sigma)
-    psi_inv = np.linalg.inv(psi)
-    cov = psi_inv @ omega @ psi_inv / N
-    cov = 0.5 * (cov + cov.T)
-    z = scipy.stats.norm.ppf(0.5 * (1.0 + level))
-    half = z * np.sqrt(np.maximum(np.diag(cov), 0.0))
-    est = F[t - 1]
-    asym = AsymptoticCov(psi_t=psi, sigma_kk=sigma, factor_cov_t=cov, psd=psd_ok)
-    return ConfidenceIntervals(
-        estimate=est.copy(), lower=est - half, upper=est + half,
-        level=float(level), cov=cov, asym=asym,
-    )
+    omega = np.einsum("km,kmab->ab", np.outer(wts, wts) * tau_comoments(fit.grid), sigma)
+    return _interval(F[t - 1], psi_raw, psi, omega, N, level, f"at period {t}",
+                     "factor_cov_t", psi_t=psi, sigma_kk=sigma)
 
 
 def loading_ci(fit, panel, scfg, k, i, level=0.95):
@@ -393,33 +372,12 @@ def loading_ci(fit, panel, scfg, k, i, level=0.95):
     factor second moment (its inverse enters squared because the normalized
     factors have identity second moment).
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    X, F, lam = _fit_arrays(fit, panel)
+    X, F, lam, c = _loading_curvature(fit, panel, scfg, k, i)
     T, N = X.shape
-    K = lam.shape[0]
-    if not 1 <= k <= K:
-        raise ValueError(f"level index must be in 1..{K}, got {k}")
-    if not 1 <= i <= N:
-        raise ValueError(f"series index must be in 1..{N}, got {i}")
     _check_aspect(T, N)
-    phi_raw = _phi_one(fit, X, F, lam, scfg, k, i, None)
-    phi = _phi_one(fit, X, F, lam, scfg, k, i, DENSITY_FLOOR)
-    psd_ok = _min_eig(phi_raw) >= PSD_TOL
-    if _min_eig(phi) <= 0.0:
-        raise NumericalError(
-            f"plug-in density matrix for level {k}, series {i} is not "
-            "positive definite; confidence intervals are unavailable"
-        )
+    phi_raw = _gram(F, c, T)
+    phi = _gram(F, np.maximum(c, DENSITY_FLOOR), T)
     tau = fit.grid.levels[k - 1]
-    phi_inv = np.linalg.inv(phi)
-    cov = tau * (1.0 - tau) * (phi_inv @ phi_inv) / T
-    cov = 0.5 * (cov + cov.T)
-    z = scipy.stats.norm.ppf(0.5 * (1.0 + level))
-    half = z * np.sqrt(np.maximum(np.diag(cov), 0.0))
-    est = lam[k - 1, i - 1]
-    asym = AsymptoticCov(phi_ki=phi, loading_cov_ki=cov, psd=psd_ok)
-    return ConfidenceIntervals(
-        estimate=est.copy(), lower=est - half, upper=est + half,
-        level=float(level), cov=cov, asym=asym,
-    )
+    middle = tau * (1.0 - tau) * np.eye(F.shape[1])
+    return _interval(lam[k - 1, i - 1], phi_raw, phi, middle, T, level,
+                     f"for level {k}, series {i}", "loading_cov_ki", phi_ki=phi)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import dafm.cli
 from dafm import Panel, save_panel
 from dafm.serialize import read_kv
 
@@ -104,6 +105,18 @@ def test_numerical_failure_exits_3(tmp_path):
     )
     assert res.returncode == 3
     assert "numerical failure" in res.stderr
+
+
+def test_linalg_failure_exits_3(sim_dir, tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError subclasses ValueError; it is still a numerical failure
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(dafm.cli, "fit_dafm", singular)
+    argv = ["fit", "--panel", str(sim_dir / "panel.csv"), "--r", "2",
+            "--levels", "0.5", "--out", str(tmp_path / "out")]
+    assert dafm.cli.main(argv) == 3
+    assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
 
 def test_out_dir_env_default(sim_dir, tmp_path):

@@ -19,7 +19,7 @@ from dafm.estimator import FactorFit, FitConfig, fit_dafm
 from dafm.evalmetrics import adjusted_r2
 from dafm.grids import QuantileGrid
 from dafm.kernels import SmoothConfig, build_kernel
-from dafm.losses import composite_objective, smoothed_composite_objective
+from dafm.losses import composite_objective, smoothed_check_curv, smoothed_composite_objective
 from dafm.panel import Panel, save_panel
 from dafm.simgen import ErrorDist, density_weights, gen_location_shift
 from dafm.smooth import (
@@ -220,6 +220,59 @@ def test_loading_ci_matches_manual_sandwich():
     assert np.linalg.eigvalsh(phi)[0] > 0.0
     assert raw.shape == phi.shape
     np.testing.assert_array_equal(ci.estimate, fit.loadings[1, 4])
+
+
+def _weighted_ci_fit():
+    """The interval fixture's fit on a grid with unequal, non-unit weights."""
+    fit, panel, scfg = _ci_fixture()
+    grid = fit.grid.with_weights((0.5, 2.0, 1.25))
+    return FactorFit(F=fit.F, loadings=fit.loadings, grid=grid), panel, scfg
+
+
+def test_factor_ci_matches_manual_sandwich():
+    fit, panel, scfg = _weighted_ci_fit()
+    ci = factor_ci(fit, panel, scfg, t=11)
+    lam = fit.loadings
+    K, N, _ = lam.shape
+    w = fit.grid.weights
+    comoments = tau_comoments(fit.grid)
+    sigma = ci.asym.sigma_kk
+    for k in range(K):
+        for m in range(K):
+            # the normalization zeroes the reference level's off-diagonal
+            np.testing.assert_allclose(sigma[k, m], lam[k].T @ lam[m] / N, rtol=1e-12, atol=1e-15)
+    omega = sum(w[k] * w[m] * comoments[k, m] * sigma[k, m] for k in range(K) for m in range(K))
+    # built from the floored density matrix the report exposes
+    psi_inv = np.linalg.inv(ci.asym.psi_t)
+    cov = psi_inv @ omega @ psi_inv / N
+    np.testing.assert_allclose(ci.cov, 0.5 * (cov + cov.T), rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(ci.asym.factor_cov_t, ci.cov)
+    np.testing.assert_array_equal(ci.estimate, fit.F[10])
+
+
+def test_plug_in_matrices_match_naive_loops():
+    fit, panel, scfg = _weighted_ci_fit()
+    X, F, lam = panel.values, fit.F, fit.loadings
+    T, N = X.shape
+    K, _, r = lam.shape
+    w = fit.grid.weights
+    naive = np.zeros((T, r, r))
+    for t in range(T):
+        for k in range(K):
+            for i in range(N):
+                c = smoothed_check_curv(X[t, i] - lam[k, i] @ F[t], scfg)
+                naive[t] += w[k] * c * np.outer(lam[k, i], lam[k, i])
+    naive /= N
+    psi = plug_in_psi(fit, panel, scfg)
+    np.testing.assert_allclose(psi, naive, rtol=1e-12, atol=1e-14 * np.abs(naive).max())
+    k, i = 3, 17
+    phi = sum(
+        smoothed_check_curv(X[t, i - 1] - lam[k - 1, i - 1] @ F[t], scfg) * np.outer(F[t], F[t])
+        for t in range(T)
+    ) / T
+    np.testing.assert_allclose(
+        plug_in_phi(fit, panel, scfg, k, i), phi, rtol=1e-12, atol=1e-14 * np.abs(phi).max()
+    )
 
 
 def test_ci_validation_and_aspect_warning():
