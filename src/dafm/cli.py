@@ -217,10 +217,6 @@ def _build_grid(levels, weights_spec):
 
 
 def _fit_config(cfg, r, k_star=None):
-    if cfg["init"] not in ("pca", "random-orthonormal"):
-        raise ConfigError(
-            f"--init must be pca or random-orthonormal, got {cfg['init']!r}"
-        )
     return FitConfig(
         r=r,
         tol=cfg["tol"],
@@ -292,8 +288,6 @@ def cmd_fit(cfg):
 
 def cmd_fit_qfm(cfg):
     panel = _load_panel_arg(cfg["panel"])
-    if not 0.0 < cfg["tau"] < 1.0:
-        raise ConfigError(f"--tau must be in (0, 1), got {cfg['tau']}")
     fc = _fit_config(cfg, cfg["r"])
     fit = fit_qfm(panel, cfg["tau"], cfg=fc)
     outdir = cfg["out"]

@@ -192,8 +192,8 @@ def _outer_loop(F, lam, cfg, sweep, objective):
             raise NumericalError(f"non-finite iterate at outer iteration {outer}")
         if np.max(np.abs(F)) > MAGNITUDE_GUARD:
             raise NumericalError(
-                f"factor magnitude exceeded {MAGNITUDE_GUARD:.1e} at outer "
-                f"iteration {outer}; estimation diverged"
+                f"factor magnitude exceeded {MAGNITUDE_GUARD:.1e} at outer iteration {outer} "
+                f"(largest |loading| {np.max(np.abs(lam)):.1e}); estimation diverged"
             )
         obj = objective(F, lam)
         if trace:

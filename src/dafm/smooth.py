@@ -3,9 +3,11 @@
 Replacing the check loss with its kernel-smoothed version makes every
 subproblem twice differentiable, so the alternating sweeps here use a damped
 Newton method instead of linear programming; the outer loop, its stopping
-rule and its guards are the exact fit's.  The smoothed residual
-curvature doubles as a conditional-density estimate, which feeds the
-plug-in covariance matrices behind the confidence intervals.
+rule and its guards are the exact fit's.  Each sweep is one batched Newton
+(``_smooth_newton``): the K·N loading subproblems share the factors as
+their design, the T factor subproblems the stacked loadings.  The smoothed
+residual curvature doubles as a conditional-density estimate, which feeds
+the plug-in covariance matrices behind the confidence intervals.
 
 Both plug-in matrices are one curvature-weighted Gram (``_gram``): Psi_t
 on the stacked loadings of period t, Phi_ki on the factors.  Both interval
@@ -80,110 +82,112 @@ class ConfidenceIntervals:
 # damped-Newton sweeps on the smoothed loss
 # ---------------------------------------------------------------------------
 
-def _smooth_newton(Z, y, taus, cvec, beta0, h, kernel, max_newton, tol):
-    """Damped Newton with Levenberg regularization and Armijo backtracking.
+def _smooth_newton(Z, Y, taus, cvec, beta0, h, kernel, max_newton, tol):
+    """Damped Newton with Levenberg regularization and Armijo backtracking
+    on B problems that share the (n, r) design ``Z``.
 
-    Minimizes sum_j cvec[j] * smoothed_loss_{taus[j]}(y[j] - Z[j] @ beta)
-    starting from ``beta0``.  Every accepted step strictly decreases the
-    objective, so the caller's sweep is monotone.  Returns
-    ``(beta, objective, status)`` with status 0 on success and 1 when no
-    acceptable step could be found from a non-stationary point.
+    Row b minimizes sum_j cvec[j] * smoothed_loss_{taus[b, j]}(Y[b, j] - Z[j] @ beta)
+    from ``beta0[b]``, with ``taus`` broadcast to the (B, n) ``Y``.  Every
+    accepted step strictly decreases its row's objective, so the caller's
+    sweep is monotone; a row leaves the working set once it stops or fails.
+    Returns ``(beta, obj, failed)`` of shapes (B, r), (B,), (B,), ``failed``
+    where no acceptable step was found from a non-stationary point.
     """
-    n, r = Z.shape
+    B, r = beta0.shape
+    diag = slice(None, None, r + 1)
+    ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(-1, r * r)
+
+    def tau(rows):
+        return taus[rows] if np.ndim(taus) == 2 and len(taus) > 1 else taus
+
+    # Residuals and loss sums are formed one row at a time (einsum, row
+    # sums), so a row's objective does not depend on its batch: the Armijo
+    # test compares values from working sets of different sizes.
+    def resid(rows, b):
+        return Y[rows] - np.einsum("jr,br->bj", Z, b)
+
+    def loss(rows, e):
+        return np.sum(cvec * _sloss_vals(kernel, tau(rows), e, h), axis=1)
+
     beta = beta0.copy()
-    e = y - Z @ beta
-    obj = np.sum(cvec * _sloss_vals(kernel, taus, e, h))
-    status = 0
+    obj = loss(slice(None), resid(slice(None), beta))
+    failed = np.zeros(B, dtype=bool)
+    live = np.arange(B)
     for _ in range(max_newton):
-        gvals = cvec * _sgrad_vals(kernel, taus, e, h)
-        g = -(Z.T @ gvals)
-        if np.max(np.abs(g)) <= tol * (1.0 + abs(obj)):
+        e = resid(live, beta[live])
+        g = -((cvec * _sgrad_vals(kernel, tau(live), e, h)) @ Z)
+        # a NaN gradient keeps its row, whose line search then fails
+        moving = ~(np.max(np.abs(g), axis=1) <= tol * (1.0 + np.abs(obj[live])))
+        live, g, e = live[moving], g[moving], e[moving]
+        if live.size == 0:
             break
-        hvals = cvec * _scurv_vals(kernel, e, h)
-        H = Z.T @ (hvals.reshape(n, 1) * Z)
-        hscale = 1.0
-        gersh = np.inf
-        for j in range(r):
-            if abs(H[j, j]) > hscale:
-                hscale = abs(H[j, j])
-            row = H[j, j]
-            for l in range(r):
-                if l != j:
-                    row -= abs(H[j, l])
-            if row < gersh:
-                gersh = row
+        H = (cvec * _scurv_vals(kernel, e, h)) @ ZZ
         # Higher-order kernels have negative curvature lobes, so H can be
         # indefinite or exactly zero; shifting past the Gershgorin bound keeps
         # every regularized system positive definite.
-        mu = 1e-10 * hscale
-        if gersh < 0.0:
-            mu -= gersh
-        obj_prev = obj
-        accepted = False
+        off = np.abs(H)
+        off[:, diag] = 0.0
+        gersh = np.min(H[:, diag] - off.reshape(-1, r, r).sum(axis=2), axis=1)
+        mu = 1e-10 * np.maximum(1.0, np.max(np.abs(H[:, diag]), axis=1)) - np.minimum(0.0, gersh)
+        obj_prev = obj[live]
+        accepted = np.zeros(live.size, dtype=bool)
+        todo = np.arange(live.size)  # working-set rows still without a step
         for _ in range(25):
-            Hd = H.copy()
-            Hd.flat[:: r + 1] += mu
-            d = np.linalg.solve(Hd, -g)
-            gd = g @ d
-            if np.all(np.isfinite(d)) and gd < 0.0:
-                step = 1.0
-                for _ in range(30):
-                    e_new = y - Z @ (beta + step * d)
-                    obj_new = np.sum(cvec * _sloss_vals(kernel, taus, e_new, h))
-                    if obj_new <= obj + 1e-4 * step * gd:
-                        beta = beta + step * d
-                        e = e_new
-                        obj = obj_new
-                        accepted = True
-                        break
-                    step *= 0.5
-            if accepted:
+            Hd = H[todo]
+            Hd[:, diag] += mu[todo, None]
+            d = np.linalg.solve(Hd.reshape(-1, r, r), -g[todo, :, None])[..., 0]
+            gd = np.einsum("br,br->b", g[todo], d)
+            ok = np.all(np.isfinite(d), axis=1) & (gd < 0.0)
+            idx, d, gd = todo[ok], d[ok], gd[ok]
+            step = np.ones(idx.size)
+            for _ in range(30):
+                if idx.size == 0:
+                    break
+                rows = live[idx]
+                cand = beta[rows] + step[:, None] * d
+                obj_new = loss(rows, resid(rows, cand))
+                ok = obj_new <= obj[rows] + 1e-4 * step * gd
+                beta[rows[ok]], obj[rows[ok]] = cand[ok], obj_new[ok]
+                accepted[idx[ok]] = True
+                idx, d, gd, step = idx[~ok], d[~ok], gd[~ok], 0.5 * step[~ok]
+            todo = todo[~accepted[todo]]
+            if todo.size == 0:
                 break
-            mu *= 10.0
-        if not accepted:
-            status = 1
-            break
-        if obj_prev - obj <= tol * (1.0 + abs(obj)):
-            break
-    return beta, obj, status
+            mu[todo] *= 10.0
+        failed[live[todo]] = True
+        done = obj_prev - obj[live] <= tol * (1.0 + np.abs(obj[live]))
+        done[todo] = True
+        live = live[~done]
+    return beta, obj, failed
 
 
 def _smooth_loading_sweep(XT, F, taus, lam, h, kernel, max_newton, tol, outer):
-    K = taus.shape[0]
-    N, T = XT.shape
-    out = np.empty_like(lam)
-    ones = np.ones(T)
-    for k in range(K):
-        tau_vec = np.full(T, taus[k])
-        for i in range(N):
-            beta, _, status = _smooth_newton(
-                F, XT[i], tau_vec, ones, lam[k, i], h, kernel, max_newton, tol
-            )
-            if status != 0:
-                raise NumericalError(
-                    f"line search failed in the smoothed loading subproblem at "
-                    f"level k={k + 1}, series i={i + 1} (outer iteration {outer})"
-                )
-            out[k, i] = beta
-    return out
+    """Every (level, series) subproblem on the factors ``F`` as one batch;
+    row k·N + i is series i (row i of the (N, T) ``XT``) at level k."""
+    K, N, r = lam.shape
+    out, _, failed = _smooth_newton(F, np.tile(XT, (K, 1)), np.repeat(taus, N)[:, None],
+                                    np.ones(XT.shape[1]), lam.reshape(K * N, r),
+                                    h, kernel, max_newton, tol)
+    if failed.any():
+        k, i = divmod(int(np.argmax(failed)), N)
+        raise NumericalError(
+            f"line search failed in the smoothed loading subproblem at "
+            f"level k={k + 1}, series i={i + 1} (outer iteration {outer})"
+        )
+    return out.reshape(K, N, r)
 
 
 def _smooth_factor_sweep(X, lam, taus, wts, F, h, kernel, max_newton, tol, outer):
-    T = X.shape[0]
+    """Every period's subproblem on the K·N stacked loadings as one batch."""
     K, N, r = lam.shape
-    Zs = lam.reshape(K * N, r)
-    tau_s = np.repeat(taus, N)
-    cvec = np.repeat(wts, N)
-    out = np.empty_like(F)
-    for t in range(T):
-        ys = np.tile(X[t], K)
-        f, _, status = _smooth_newton(Zs, ys, tau_s, cvec, F[t], h, kernel, max_newton, tol)
-        if status != 0:
-            raise NumericalError(
-                f"line search failed in the smoothed factor subproblem at "
-                f"period t={t + 1} (outer iteration {outer})"
-            )
-        out[t] = f
+    out, _, failed = _smooth_newton(lam.reshape(K * N, r), np.tile(X, (1, K)),
+                                    np.repeat(taus, N), np.repeat(wts, N), F,
+                                    h, kernel, max_newton, tol)
+    if failed.any():
+        raise NumericalError(
+            f"line search failed in the smoothed factor subproblem at "
+            f"period t={int(np.argmax(failed)) + 1} (outer iteration {outer})"
+        )
     return out
 
 

@@ -92,6 +92,13 @@ def test_config_errors_exit_2(sim_dir, tmp_path):
     res = run_cli("fit", "--panel", tmp_path / "missing.csv", "--r", 1,
                   "--out", tmp_path)
     assert res.returncode == 2
+    # option values the library validates (FitConfig, QuantileGrid)
+    res = run_cli("fit", "--panel", sim_dir / "panel.csv", "--r", 1, "--init", "bogus",
+                  "--out", tmp_path)
+    assert res.returncode == 2 and "init must be" in res.stderr
+    res = run_cli("fit-qfm", "--panel", sim_dir / "panel.csv", "--r", 1, "--tau", 1.5,
+                  "--out", tmp_path)
+    assert res.returncode == 2 and "levels must lie strictly inside (0, 1)" in res.stderr
 
 
 def test_numerical_failure_exits_3(tmp_path):

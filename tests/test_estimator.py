@@ -236,8 +236,14 @@ def _drive(objectives, F=None, max_outer=10, tol=1e-6):
 def test_outer_loop_guards_raise():
     with pytest.raises(NumericalError, match="non-finite iterate at outer iteration 1"):
         _drive([1.0], F=np.full((4, 1), np.nan))
-    with pytest.raises(NumericalError, match="factor magnitude exceeded 1.0e\\+08"):
+    with pytest.raises(NumericalError, match="factor magnitude exceeded 1.0e\\+08 at outer "
+                       "iteration 1 \\(largest \\|loading\\| 0.0e\\+00\\)"):
         _drive([1.0], F=np.full((4, 1), 2e8))
+    # a 0/1 panel whose first loading sweep returns zero loadings: the guard
+    # names the vanished loadings behind the diverged factors
+    binary = Panel((np.random.default_rng(1).random((25, 12)) > 0.5).astype(float))
+    with pytest.raises(NumericalError, match="\\(largest \\|loading\\| 7.0e-16\\)"):
+        fit_dafm(binary, GRID3, FitConfig(r=1))
     with pytest.raises(NumericalError, match="increased from 1 to 1.000001 at outer iteration 2"):
         _drive([1.0, 1.0 + 1e-6])
 

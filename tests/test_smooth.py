@@ -24,6 +24,7 @@ from dafm.panel import Panel, save_panel
 from dafm.simgen import ErrorDist, density_weights, gen_location_shift
 from dafm.smooth import (
     DENSITY_FLOOR,
+    _smooth_newton,
     factor_ci,
     fit_smoothed_dafm,
     loading_ci,
@@ -314,43 +315,84 @@ def test_density_floor_rescues_far_out_residuals():
     assert DENSITY_FLOOR == 1e-8
 
 
-def _failing_newton(monkeypatch, factor, fail_at):
-    """Make the ``fail_at``-th loading (or factor) Newton solve report a
-    failed line search; factor subproblems have K*N rows."""
+def _loading_batch(N=40, T=60, seed=5):
+    """Smoothed loading subproblems as the loading sweep batches them: row
+    k*N + i is series i at level k, on two random factors."""
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((T, 2))
+    X = F @ rng.standard_normal((2, N)) + rng.standard_normal((T, N))
+    taus = np.repeat([0.25, 0.5, 0.75], N)[:, None]
+    scfg = SmoothConfig.for_sample(T)
+
+    def solve(rows, beta0, max_newton=40):
+        return _smooth_newton(F, np.tile(X.T, (3, 1))[rows], taus[rows], np.ones(T), beta0,
+                              scfg.h, scfg.kernel, max_newton, 1e-8)
+
+    return solve, 3 * N
+
+
+def test_newton_row_objective_does_not_depend_on_its_batch():
+    # the Armijo test compares objectives from working sets of different
+    # sizes, so a row's objective must be the same in any batch
+    solve, B = _loading_batch()
+    beta, obj, failed = solve(slice(None), np.zeros((B, 2)))
+    assert not failed.any()
+    for b in range(B):
+        beta_b, obj_b, failed_b = solve([b], beta[b:b + 1], max_newton=0)
+        assert obj_b[0] == obj[b] and not failed_b[0]
+        np.testing.assert_array_equal(beta_b[0], beta[b])
+
+
+def test_newton_rows_that_finished_take_no_step():
+    solve, _ = _loading_batch()
+    done = solve([0], np.zeros((1, 2)))[0]
+    beta, obj, failed = solve([0, 45], np.vstack([done, np.zeros((1, 2))]))
+    assert not failed.any()
+    np.testing.assert_array_equal(beta[0], done[0])
+    start = solve([45], np.zeros((1, 2)), max_newton=0)[1]
+    alone, alone_obj, _ = solve([45], np.zeros((1, 2)))
+    assert obj[1] < start[0]
+    np.testing.assert_allclose(beta[1], alone[0], rtol=0, atol=1e-8)
+    assert obj[1] == pytest.approx(alone_obj[0], rel=0, abs=1e-8)
+
+
+def _failing_newton(monkeypatch, factor, fail_at, row):
+    """Make row ``row`` of the ``fail_at``-th loading (or factor) Newton batch
+    report a failed line search; factor batches have K*N design rows."""
     import dafm.smooth as smooth
 
     newton = smooth._smooth_newton
     calls = []
 
     def patched(Z, *args):
-        beta, obj, status = newton(Z, *args)
+        beta, obj, failed = newton(Z, *args)
         if (Z.shape[0] == 3 * 8) == factor:
             calls.append(1)
             if len(calls) == fail_at:
-                status = 1
-        return beta, obj, status
+                failed[row] = True
+        return beta, obj, failed
 
     monkeypatch.setattr(smooth, "_smooth_newton", patched)
 
 
-@pytest.mark.parametrize("factor, fail_at, where", [
-    (False, 2, "loading subproblem at level k=1, series i=2 (outer iteration 1)"),
-    (True, 21, "factor subproblem at period t=1 (outer iteration 2)"),
+@pytest.mark.parametrize("factor, fail_at, row, where", [
+    (False, 1, 1, "loading subproblem at level k=1, series i=2 (outer iteration 1)"),
+    (True, 2, 0, "factor subproblem at period t=1 (outer iteration 2)"),
 ])
-def test_line_search_failure_raises(monkeypatch, tmp_path, factor, fail_at, where):
+def test_line_search_failure_raises(monkeypatch, tmp_path, factor, fail_at, row, where):
     # T=20 periods, K*N=24 factor rows: the two subproblem kinds differ in size
     panel = gen_location_shift(8, 20, ErrorDist.gaussian(), seed=3)[0]
     grid = QuantileGrid((0.25, 0.5, 0.75))
     cfg = FitConfig(r=1, max_outer=4)
     scfg = SmoothConfig.for_sample(20)
     base = fit_dafm(panel, grid, cfg)
-    _failing_newton(monkeypatch, factor, fail_at)
+    _failing_newton(monkeypatch, factor, fail_at, row)
     with pytest.raises(NumericalError, match="line search failed") as exc:
         fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=base)
     assert where in str(exc.value)
 
     monkeypatch.undo()
-    _failing_newton(monkeypatch, factor, fail_at)
+    _failing_newton(monkeypatch, factor, fail_at, row)
     save_panel(panel, tmp_path / "panel.csv")
     argv = ["infer", "--panel", str(tmp_path / "panel.csv"), "--r", "1",
             "--levels", "0.25,0.5,0.75", "--t", "1", "--out", str(tmp_path / "out")]
