@@ -8,9 +8,21 @@ support edges).  K(u) = int_u^1 k(s) ds is the survival function used by the
 smoothed check loss; K(u) = 1 for u <= -1 and 0 for u >= 1 exactly.
 Polynomial coefficients are stored ascending in powers of s.
 
-``_horner``, ``_pdf_vals`` and ``_survival_vals`` are the one evaluator of
-these polynomials on arrays: the ``Kernel`` methods and the smoothed-loss
-cores in ``losses`` all go through them.
+Because k is even, every quantity built from it is one short polynomial in
+v = u^2 on |u| < 1.  With a_2j the even coefficients of k:
+
+    k(u)              = P(v),      P_j = a_2j
+    k'(u)             = u D(v),    D_j = (2j+2) a_2j+2
+    K(u)              = 1/2 - u S(v),  S_j = a_2j / (2j+1)
+    K(u) - u k(u)     = 1/2 - u G(v),  G_j = a_2j (2j+2) / (2j+1)
+    2 k(u) + u k'(u)  = C(v),      C_j = a_2j (2j+2)
+
+``Kernel`` derives these v-coefficients once.  ``_reduce`` forms u = e/h
+clipped to [-1, 1], v = min(u^2, 1) and the mask |u| >= 1, and
+``_even_vals`` is the one evaluator: Horner in v, in place, with an exact
+edge value on the mask, so that the saturated values outside [-1, 1] are
+exact.  The ``Kernel`` methods and the smoothed-loss cores in ``losses``
+all go through these two.
 """
 
 from __future__ import annotations
@@ -24,22 +36,25 @@ import numpy as np
 __all__ = ["Kernel", "SmoothConfig", "build_kernel", "default_bandwidth_exponent"]
 
 
-def _horner(coef, x):
-    """Evaluate a polynomial with ascending coefficients at the array x."""
-    out = np.zeros_like(x)
-    for idx in range(coef.size - 1, -1, -1):
-        out = out * x + coef[idx]
+def _reduce(e, h):
+    """u = e/h clipped to [-1, 1], v = min(u^2, 1) and the mask |u| >= 1,
+    as new arrays of e's shape (0-d for a scalar)."""
+    u = np.divide(e, h, out=np.empty(np.shape(e)))
+    v = np.multiply(u, u, out=np.empty_like(u))
+    outside = v >= 1.0
+    np.minimum(v, 1.0, out=v)
+    np.clip(u, -1.0, 1.0, out=u)
+    return u, v, outside
+
+
+def _even_vals(coef, v, outside, edge):
+    """sum_j coef[j] v^j by Horner in place, and exactly ``edge`` where ``outside``."""
+    out = np.full_like(v, coef[-1])
+    for c in coef[-2::-1]:
+        out *= v
+        out += c
+    np.copyto(out, edge, where=outside)
     return out
-
-
-def _survival_vals(surv_coef, u):
-    """K(u) with exact saturation outside [-1, 1]."""
-    return np.where(u <= -1.0, 1.0, np.where(u >= 1.0, 0.0, _horner(surv_coef, u)))
-
-
-def _pdf_vals(coef, u):
-    """The polynomial ``coef`` on (-1, 1), zero outside: k(u), or k'(u) for deriv_coef."""
-    return np.where(np.abs(u) < 1.0, _horner(coef, u), 0.0)
 
 
 def _scalar_out(out):
@@ -66,47 +81,61 @@ def _solve_fraction_system(M, b):
 class Kernel:
     """Polynomial kernel of even order m with support [-1, 1].
 
-    coef holds k's ascending polynomial coefficients; survival_coef and
-    deriv_coef are the matching representations of K(u) = int_u^1 k and k'.
-    ``conforming`` is True when the order admits a bandwidth exponent under
-    1/m < c < 1/6 (i.e. m >= 8); the m=2 Epanechnikov variant exists for unit
-    tests only.
+    coef holds k's ascending polynomial coefficients in s, whose odd entries
+    must be zero.  ``pdf_v``, ``deriv_v``, ``surv_v``, ``grad_v`` and
+    ``curv_v`` are the derived coefficients P, D, S, G and C in v = s^2 (see
+    the module docstring).  ``conforming`` is True when the order admits a
+    bandwidth exponent under 1/m < c < 1/6 (i.e. m >= 8); the m=2
+    Epanechnikov variant exists for unit tests only.
     """
 
     order: int
     coef: np.ndarray
-    survival_coef: np.ndarray = field(default=None)
-    deriv_coef: np.ndarray = field(default=None)
+    pdf_v: np.ndarray = field(init=False, repr=False, compare=False)
+    deriv_v: np.ndarray = field(init=False, repr=False, compare=False)
+    surv_v: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_v: np.ndarray = field(init=False, repr=False, compare=False)
+    curv_v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coef = np.array(self.coef, dtype=float)
-        coef.setflags(write=False)
-        object.__setattr__(self, "coef", coef)
-        if self.survival_coef is None:
-            # K(u) = 1/2 - A(u) with A the antiderivative of k vanishing at 0
-            surv = np.zeros(coef.size + 1)
-            surv[0] = 0.5
-            surv[1:] = -coef / np.arange(1, coef.size + 1)
-            object.__setattr__(self, "survival_coef", surv)
-        if self.deriv_coef is None:
-            dc = coef[1:] * np.arange(1, coef.size)
-            object.__setattr__(self, "deriv_coef", dc)
-        self.survival_coef.setflags(write=False)
-        self.deriv_coef.setflags(write=False)
+        if np.any(coef[1::2] != 0.0):
+            raise ValueError("kernel coefficients must be even: odd powers of s must be zero")
+        a = coef[::2]
+        twoj = 2.0 * np.arange(a.size)
+        derived = dict(
+            coef=coef,
+            pdf_v=a,
+            deriv_v=a[1:] * twoj[1:],
+            surv_v=a / (twoj + 1.0),
+            grad_v=a * (twoj + 2.0) / (twoj + 1.0),
+            curv_v=a * (twoj + 2.0),
+        )
+        for name, value in derived.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def conforming(self):
         return self.order >= 8
 
     def pdf(self, u):
-        return _scalar_out(_pdf_vals(self.coef, np.asarray(u, dtype=float)))
+        _, v, outside = _reduce(np.asarray(u, dtype=float), 1.0)
+        return _scalar_out(_even_vals(self.pdf_v, v, outside, 0.0))
 
     def survival(self, u):
         """K(u) = int_u^1 k(s) ds, exactly 1 below -1 and 0 above 1."""
-        return _scalar_out(_survival_vals(self.survival_coef, np.asarray(u, dtype=float)))
+        u, v, outside = _reduce(np.asarray(u, dtype=float), 1.0)
+        out = _even_vals(self.surv_v, v, outside, 0.5)
+        out *= u
+        np.subtract(0.5, out, out=out)
+        return _scalar_out(out)
 
     def deriv(self, u):
-        return _scalar_out(_pdf_vals(self.deriv_coef, np.asarray(u, dtype=float)))
+        u, v, outside = _reduce(np.asarray(u, dtype=float), 1.0)
+        out = _even_vals(self.deriv_v, v, outside, 0.0)
+        out *= u
+        return _scalar_out(out)
 
 
 def build_kernel(m):

@@ -11,16 +11,21 @@ The smoothed loss equals the check loss exactly for |e| >= h.  The composite
 objective is M_NT = (1/NT) sum_k sum_i sum_t w_k rho_{tau_k}(X_it - lambda'f_t).
 
 Each smoothed formula has one array core (``_sloss_vals``, ``_sgrad_vals``,
-``_scurv_vals``, taking the ``Kernel`` and h).  The public scalar-or-array
-functions, the smoothed objective, the damped-Newton sweeps and the plug-in
-density matrices in ``smooth`` all evaluate through these cores.
+``_scurv_vals``, taking the ``Kernel`` and h), and ``_sgrad_curv_vals``
+gives the derivative and the curvature from one reduction of u.  All of them
+evaluate one even polynomial in v = min(u^2, 1) through ``kernels._reduce``
+and ``kernels._even_vals``: the loss and the derivative are
+tau - 1/2 + u P(v) (P the kernel's ``surv_v`` or ``grad_v``), the curvature
+is C(v) / h.  The public scalar-or-array functions, the smoothed objective,
+the damped-Newton sweeps and the plug-in density matrices in ``smooth`` all
+evaluate through these cores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import _pdf_vals, _scalar_out, _survival_vals
+from .kernels import _even_vals, _reduce, _scalar_out
 from .panel import Panel
 
 __all__ = [
@@ -37,21 +42,43 @@ __all__ = [
 # array cores shared with the estimator and the smoothed fit
 # ---------------------------------------------------------------------------
 
+def _level_term(coef, taus, u, v, outside):
+    """tau - 1/2 + u P(v) in place: exactly tau for u >= 1, tau - 1 for u <= -1."""
+    out = _even_vals(coef, v, outside, 0.5)
+    out *= u
+    out -= 0.5
+    out += taus
+    return out
+
+
+def _curv_term(kernel, v, outside, h):
+    out = _even_vals(kernel.curv_v, v, outside, 0.0)
+    out /= h
+    return out
+
+
 def _sloss_vals(kernel, taus, e, h):
     """Smoothed loss (tau - K(u)) e, u = e/h."""
-    return (taus - _survival_vals(kernel.survival_coef, e / h)) * e
+    out = _level_term(kernel.surv_v, taus, *_reduce(e, h))
+    out *= e
+    return out
 
 
 def _sgrad_vals(kernel, taus, e, h):
     """Smoothed-loss derivative tau - K(u) + u k(u), u = e/h."""
-    u = e / h
-    return taus - _survival_vals(kernel.survival_coef, u) + u * _pdf_vals(kernel.coef, u)
+    return _level_term(kernel.grad_v, taus, *_reduce(e, h))
 
 
 def _scurv_vals(kernel, e, h):
     """Smoothed-loss curvature (2 k(u) + u k'(u)) / h, u = e/h."""
-    u = e / h
-    return (2.0 * _pdf_vals(kernel.coef, u) + u * _pdf_vals(kernel.deriv_coef, u)) / h
+    _, v, outside = _reduce(e, h)
+    return _curv_term(kernel, v, outside, h)
+
+
+def _sgrad_curv_vals(kernel, taus, e, h):
+    """``_sgrad_vals`` and ``_scurv_vals`` from one reduction of u = e/h."""
+    u, v, outside = _reduce(e, h)
+    return _level_term(kernel.grad_v, taus, u, v, outside), _curv_term(kernel, v, outside, h)
 
 
 def _check_loss_sum(R, tau):

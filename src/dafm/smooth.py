@@ -26,7 +26,7 @@ import scipy.special
 from .errors import NumericalError
 from .estimator import _finish, _outer_loop, _setup, fit_dafm
 from .kernels import SmoothConfig
-from .losses import _scurv_vals, _sgrad_vals, _sloss_vals, _smoothed_objective_core
+from .losses import _scurv_vals, _sgrad_curv_vals, _sloss_vals, _smoothed_objective_core
 from .panel import Panel
 
 __all__ = [
@@ -109,19 +109,22 @@ def _smooth_newton(Z, Y, taus, cvec, beta0, h, kernel, max_newton, tol):
     def loss(rows, e):
         return np.sum(cvec * _sloss_vals(kernel, tau(rows), e, h), axis=1)
 
+    def grad_hess(rows):
+        """Gradients (rows, r) and Hessians (rows, r*r) from one kernel pass."""
+        grad, curv = _sgrad_curv_vals(kernel, tau(rows), resid(rows, beta[rows]), h)
+        return -((cvec * grad) @ Z), (cvec * curv) @ ZZ
+
     beta = beta0.copy()
     obj = loss(slice(None), resid(slice(None), beta))
     failed = np.zeros(B, dtype=bool)
     live = np.arange(B)
     for _ in range(max_newton):
-        e = resid(live, beta[live])
-        g = -((cvec * _sgrad_vals(kernel, tau(live), e, h)) @ Z)
+        g, H = grad_hess(live)
         # a NaN gradient keeps its row, whose line search then fails
         moving = ~(np.max(np.abs(g), axis=1) <= tol * (1.0 + np.abs(obj[live])))
-        live, g, e = live[moving], g[moving], e[moving]
+        live, g, H = live[moving], g[moving], H[moving]
         if live.size == 0:
             break
-        H = (cvec * _scurv_vals(kernel, e, h)) @ ZZ
         # Higher-order kernels have negative curvature lobes, so H can be
         # indefinite or exactly zero; shifting past the Gershgorin bound keeps
         # every regularized system positive definite.
@@ -363,7 +366,9 @@ def factor_ci(fit, panel, scfg, t, level=0.95):
     C = _residual_curvature(X[t - 1:t], F[t - 1:t], lam, scfg)
     psi_raw = _psi(wts, lam, C)[0]
     psi = _psi(wts, lam, np.maximum(C, DENSITY_FLOOR))[0]
-    sigma = np.einsum("kia,mib->kmab", lam, lam) / N
+    K, _, r = lam.shape
+    L = lam.transpose(0, 2, 1).reshape(K * r, N)
+    sigma = (L @ L.T / N).reshape(K, r, K, r).transpose(0, 2, 1, 3)
     omega = np.einsum("km,kmab->ab", np.outer(wts, wts) * tau_comoments(fit.grid), sigma)
     return _interval(F[t - 1], psi_raw, psi, omega, N, level, f"at period {t}",
                      "factor_cov_t", psi_t=psi, sigma_kk=sigma)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
 from .errors import NumericalError
 
@@ -44,9 +42,10 @@ def _ploss(resid, taus):
 def _max_step(x, dx, s, ds):
     """Per problem (last axis), the largest alpha in (0, 1e30] keeping
     x + alpha*dx >= 0 and s + alpha*ds >= 0."""
-    step_x = np.divide(-x, dx, out=np.full(x.shape, 1e30), where=dx < 0.0)
-    step_s = np.divide(-s, ds, out=np.full(s.shape, 1e30), where=ds < 0.0)
-    return np.minimum(step_x.min(axis=-1), step_s.min(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step_x = np.where(dx < 0.0, -x / dx, 1e30).min(axis=-1)
+        step_s = np.where(ds < 0.0, -s / ds, 1e30).min(axis=-1)
+    return np.minimum(step_x, step_s)
 
 
 def _gap(a, z, s, w):
@@ -244,6 +243,11 @@ def lp_oracle_quantile(y, Z, tau, weights=None):
     :func:`quantile_regress` but independent of it; used as the correctness
     oracle and as the fallback when the interior point fails to certify.
     """
+    # Imported here: scipy.optimize costs about half a second to import,
+    # and only this oracle needs it.
+    import scipy.optimize
+    import scipy.sparse
+
     y, Z = _as_design(y, Z)
     n, r = Z.shape
     taus = _tau_vector(tau, n)

@@ -5,6 +5,8 @@ machine precision — an oracle independent of the exact-fraction linear
 solve used to construct them.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -105,3 +107,64 @@ def test_smooth_config_validation():
         SmoothConfig(kernel=build_kernel(8), bandwidth=0.5, bandwidth_exponent=0.2)
     with pytest.raises(ValueError):
         SmoothConfig.for_sample(1)
+
+
+def _exact_kernel(coef, u):
+    """k(u), K(u), k'(u) of the float coefficients, evaluated over Fractions,
+    and for each the sum of its terms' absolute values (the scale of the
+    rounding error any evaluation in floating point makes)."""
+    u = Fraction(u)
+    c = [Fraction(x) for x in coef]
+    a = abs(u)
+    scale = (
+        sum(abs(ci) * a**i for i, ci in enumerate(c)),
+        Fraction(1, 2) + sum(abs(ci) / (i + 1) * a ** (i + 1) for i, ci in enumerate(c)),
+        sum(i * abs(ci) * a ** (i - 1) for i, ci in enumerate(c) if i),
+    )
+    if a >= 1:
+        return (0, 1 if u < 0 else 0, 0), scale
+    values = (
+        sum(ci * u**i for i, ci in enumerate(c)),
+        Fraction(1, 2) - sum(ci / (i + 1) * u ** (i + 1) for i, ci in enumerate(c)),
+        sum(i * ci * u ** (i - 1) for i, ci in enumerate(c) if i),
+    )
+    return values, scale
+
+
+EDGE_POINTS = np.r_[np.linspace(-1.25, 1.25, 51), -1.0, 1.0, np.nextafter(1.0, 0.0),
+                    np.nextafter(-1.0, 0.0), 0.0, 1e-9]
+
+
+@pytest.mark.parametrize("m", [2, 8, 10, 12])
+def test_even_power_evaluator_matches_exact_polynomial(m):
+    kern = build_kernel(m)
+    for method, j in ((kern.pdf, 0), (kern.survival, 1), (kern.deriv, 2)):
+        got = method(EDGE_POINTS)
+        for u, val in zip(EDGE_POINTS, got):
+            values, scale = _exact_kernel(kern.coef, u)
+            assert abs(val - float(values[j])) <= 1e-13 * (1 + float(scale[j])), (method, u)
+        # a scalar in gives a float out
+        assert isinstance(method(0.3), float) and method(0.3) == method(np.array([0.3]))[0]
+
+
+@pytest.mark.parametrize("m", [2, 8, 10, 12])
+def test_saturation_is_exact_and_continuous(m):
+    kern = build_kernel(m)
+    out = np.array([1.0, 1.5, 40.0, np.inf])
+    for u in (out, -out):
+        assert np.all(kern.pdf(u) == 0.0) and np.all(kern.deriv(u) == 0.0)
+    assert np.all(kern.survival(out) == 0.0) and np.all(kern.survival(-out) == 1.0)
+    # just inside the support k and K are already at their saturated values,
+    # and so is k' where the (1 - s^2)^3 factor makes k continuously
+    # differentiable (the order-2 test kernel's k' jumps at the edges)
+    inside = 1.0 - 2.0**-40
+    for u, surv in ((inside, 0.0), (-inside, 1.0)):
+        assert abs(kern.pdf(u)) <= 1e-10 and abs(kern.survival(u) - surv) <= 1e-10
+        assert not kern.conforming or abs(kern.deriv(u)) <= 1e-10
+
+
+def test_kernel_with_an_odd_coefficient_is_rejected():
+    with pytest.raises(ValueError, match="even"):
+        Kernel(order=2, coef=np.array([0.75, 1e-3, -0.75]))
+    # odd positions that are exactly zero are fine
+    assert Kernel(order=2, coef=np.array([0.75, 0.0, -0.75])).pdf(0.0) == 0.75

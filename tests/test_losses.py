@@ -1,5 +1,7 @@
 """Loss functions against naive-loop and finite-difference oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from dafm.losses import (
     smoothed_check_grad,
     smoothed_check_loss,
     smoothed_composite_objective,
+    _sgrad_curv_vals,
 )
 from dafm.panel import Panel
 
@@ -155,3 +158,49 @@ def test_smoothed_composite_objective_matches_naive():
 
     val = smoothed_composite_objective(Panel(X), F, lam, grid, scfg)
     assert val == pytest.approx(naive, rel=1e-12)
+
+
+def _exact_cores(coef, tau, e, h):
+    """Smoothed loss, derivative and curvature of the float kernel
+    coefficients over Fractions, with a scale of their terms' sizes."""
+    tau, e, h = Fraction(tau), Fraction(e), Fraction(h)
+    u = e / h
+    c = [Fraction(x) for x in coef]
+    scale = 1 + sum((i + 2) * abs(ci) * abs(u) ** i for i, ci in enumerate(c))
+    scale *= 1 + abs(e) + 1 / h
+    if abs(u) >= 1:
+        K = 1 if u < 0 else 0
+        return ((tau - K) * e, tau - K, 0), scale
+    k = sum(ci * u**i for i, ci in enumerate(c))
+    dk = sum(i * ci * u ** (i - 1) for i, ci in enumerate(c) if i)
+    K = Fraction(1, 2) - sum(ci / (i + 1) * u ** (i + 1) for i, ci in enumerate(c))
+    return ((tau - K) * e, tau - K + u * k, (2 * k + u * dk) / h), scale
+
+
+@pytest.mark.parametrize("m", [2, 8, 10, 12])
+def test_smoothed_cores_match_exact_polynomial(m):
+    h = 0.6
+    scfg = SmoothConfig(kernel=build_kernel(m), bandwidth=h)
+    e = h * np.r_[np.linspace(-1.3, 1.3, 41), -1.0, 1.0, np.nextafter(1.0, 0.0), 0.0]
+    for tau in (0.1, 0.5, 0.9):
+        got = (smoothed_check_loss(e, tau, scfg), smoothed_check_grad(e, tau, scfg),
+               smoothed_check_curv(e, scfg))
+        for j in range(3):
+            for ej, val in zip(e, got[j]):
+                values, scale = _exact_cores(scfg.kernel.coef, tau, ej, h)
+                assert abs(val - float(values[j])) <= 1e-13 * float(scale), (j, tau, ej)
+
+
+def test_fused_gradient_and_curvature_equal_the_public_ones():
+    scfg = _scfg(0.5)
+    rng = np.random.default_rng(3)
+    e = rng.uniform(-0.8, 0.8, size=(4, 30))
+    taus = np.array([0.1, 0.3, 0.5, 0.9])[:, None]
+    grad, curv = _sgrad_curv_vals(scfg.kernel, taus, e, scfg.h)
+    for b in range(4):
+        np.testing.assert_array_equal(grad[b], smoothed_check_grad(e[b], taus[b, 0], scfg))
+    np.testing.assert_array_equal(curv, smoothed_check_curv(e, scfg))
+    # outside the band the derivative is exactly tau or tau - 1
+    t = np.broadcast_to(taus, e.shape)
+    np.testing.assert_array_equal(grad[e >= scfg.h], t[e >= scfg.h])
+    np.testing.assert_array_equal(grad[e <= -scfg.h], t[e <= -scfg.h] - 1.0)

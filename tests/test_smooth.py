@@ -242,6 +242,9 @@ def test_factor_ci_matches_manual_sandwich():
         for m in range(K):
             # the normalization zeroes the reference level's off-diagonal
             np.testing.assert_allclose(sigma[k, m], lam[k].T @ lam[m] / N, rtol=1e-12, atol=1e-15)
+    # the one (K*r, K*r) product equals the pairwise contraction it replaced
+    einsum = np.einsum("kia,mib->kmab", lam, lam) / N
+    assert np.abs(sigma - einsum).max() <= 1e-14 * np.abs(einsum).max()
     omega = sum(w[k] * w[m] * comoments[k, m] * sigma[k, m] for k in range(K) for m in range(K))
     # built from the floored density matrix the report exposes
     psi_inv = np.linalg.inv(ci.asym.psi_t)
