@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import NumericalError
 from .grids import QuantileGrid
-from .panel import Panel, load_panel, save_panel, standardize
+from .panel import Panel, load_panel, save_panel
 from .losses import check_loss, composite_objective
 from .estimator import (
     FactorFit,
@@ -43,7 +43,7 @@ from .simgen import (
     sample_error,
     weight_scheme,
 )
-from .evalmetrics import EvalReport, adjusted_r2, civ, relative_mse, sign_align
+from .evalmetrics import adjusted_r2, relative_mse
 from .forecast import ForecastTask, fit_factor_ar, rolling_forecast, select_lags_bic
 from .serialize import load_fit, save_fit
 
@@ -54,7 +54,6 @@ __all__ = [
     "Panel",
     "load_panel",
     "save_panel",
-    "standardize",
     "check_loss",
     "composite_objective",
     "FactorFit",
@@ -87,11 +86,8 @@ __all__ = [
     "parse_dist",
     "sample_error",
     "weight_scheme",
-    "EvalReport",
     "adjusted_r2",
-    "civ",
     "relative_mse",
-    "sign_align",
     "ForecastTask",
     "fit_factor_ar",
     "rolling_forecast",

@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .grids import QuantileGrid
 from .kernels import SmoothConfig, build_kernel
 from .panel import load_panel, save_panel
 from .ranksel import select_rank_eigen, select_rank_ic
-from .serialize import parse_floats, read_kv, save_fit, write_kv, write_matrix
+from .serialize import parse_floats, read_kv, save_fit, write_kv, write_matrix, write_table
 from .simgen import (
     density_weights,
     gen_location_scale_shift,
@@ -147,39 +146,39 @@ def _schema(command):
             ("methods", str, "dafm"),
             ("r", _positive_int("r"), None),
             ("seed", int, 0),
-            ("jobs", _positive_int("jobs"), 1),
         ]
     raise AssertionError(command)
 
 
 def _resolve(args, command):
-    """Merge flags > config file > defaults into one plain dict."""
-    schema = _schema(command)
+    """Merge flags > config file > defaults into one plain dict.
+
+    Each option's raw string comes from its flag, else the config file (an
+    empty value there means unset), and goes through the schema's parser.
+    """
     config = {}
-    path = getattr(args, "config", None)
-    if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        config = read_kv(path)
+    if args.config is not None:
+        if not os.path.exists(args.config):
+            raise ConfigError(f"config file not found: {args.config}")
+        config = read_kv(args.config)
     resolved = {}
-    for name, parse, default in schema:
+    for name, parse, default in _schema(command):
         if name == "config":
             continue
-        attr = name.replace("-", "_")
-        val = getattr(args, attr, None)
-        if val is None and name in config:
-            raw = config[name]
-            try:
-                val = parse(raw) if raw != "" else None
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"config key {name}={raw!r} is invalid") from None
-        if val is None:
+        flag = getattr(args, name.replace("-", "_"))
+        raw = flag if flag is not None else (config.get(name) or None)
+        if raw is None:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required option --{name}")
-            val = default
-        resolved[name] = val
+            resolved[name] = default
+            continue
+        try:
+            resolved[name] = parse(raw)
+        except ValueError:
+            raise ConfigError(
+                f"invalid value for --{name}: {raw!r}" if flag is not None
+                else f"config key {name}={raw!r} is invalid"
+            ) from None
     if resolved.get("out") is None:
         resolved["out"] = os.environ.get("DAFM_OUT_DIR", ".")
     return resolved
@@ -307,23 +306,16 @@ def cmd_rank(cfg):
     path = os.path.join(outdir, "rank.csv")
     if cfg["method"] == "ic":
         sel = select_rank_ic(panel, grid, s_max=cfg["smax"], penalty=cfg["penalty"], cfg=fc)
-        with open(path, "w") as fh:
-            fh.write("l,criterion\n")
-            for ell, crit in enumerate(sel.criteria, start=1):
-                fh.write("%d,%.17g\n" % (ell, crit))
+        write_table(path, ["l", "criterion"], enumerate(sel.criteria, start=1))
     elif cfg["method"] == "eigen":
         thresholds = cfg["thresholds"]
         if thresholds != "auto":
             thresholds = parse_floats(thresholds)
         sel = select_rank_eigen(panel, grid, s_max=cfg["smax"], thresholds=thresholds, cfg=fc)
-        with open(path, "w") as fh:
-            fh.write("k,i,eigenvalue,threshold\n")
-            for k in range(sel.criteria.shape[0]):
-                for i in range(sel.criteria.shape[1]):
-                    fh.write(
-                        "%d,%d,%.17g,%.17g\n"
-                        % (k + 1, i + 1, sel.criteria[k, i], sel.thresholds[k])
-                    )
+        write_table(path, ["k", "i", "eigenvalue", "threshold"], [
+            (k + 1, i + 1, eig, sel.thresholds[k])
+            for k, row in enumerate(sel.criteria) for i, eig in enumerate(row)
+        ])
     else:
         raise ConfigError(f"--method must be ic or eigen, got {cfg['method']!r}")
     print(f"wrote {path}: method={sel.method} r_hat={sel.r_hat}")
@@ -358,13 +350,11 @@ def cmd_infer(cfg):
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "ci.csv")
-    with open(path, "w") as fh:
-        fh.write("index,estimate,lower,upper,level\n")
-        for j in range(ci.estimate.size):
-            fh.write(
-                "%d,%.17g,%.17g,%.17g,%g\n"
-                % (j + 1, ci.estimate[j], ci.lower[j], ci.upper[j], ci.level)
-            )
+    level = "%g" % ci.level
+    write_table(path, ["index", "estimate", "lower", "upper", "level"], [
+        (j, est, lo, hi, level)
+        for j, (est, lo, hi) in enumerate(zip(ci.estimate, ci.lower, ci.upper), start=1)
+    ])
     print(f"wrote {path}: {ci.estimate.size} interval(s) at level {ci.level}")
 
 
@@ -402,13 +392,10 @@ def cmd_forecast(cfg):
     os.makedirs(outdir, exist_ok=True)
     W = task.window
     path = os.path.join(outdir, "forecasts.csv")
-    with open(path, "w") as fh:
-        fh.write("origin,horizon,forecast,actual\n")
-        for j in range(forecasts.size):
-            fh.write(
-                "%s,%d,%.17g,%.17g\n"
-                % (panel.time_labels[W - 1 + j], task.horizon, forecasts[j], actuals[j])
-            )
+    write_table(path, ["origin", "horizon", "forecast", "actual"], [
+        (origin, task.horizon, f, a)
+        for origin, f, a in zip(panel.time_labels[W - 1:], forecasts, actuals)
+    ])
     # benchmark for the summary: the same rolling scheme without factors
     if task.method != "ar":
         ar_task = ForecastTask(
@@ -422,12 +409,8 @@ def cmd_forecast(cfg):
     else:
         rel = 1.0
     spath = os.path.join(outdir, "summary.csv")
-    with open(spath, "w") as fh:
-        fh.write("method,n_forecasts,n_missing,rel_mse_vs_ar\n")
-        fh.write(
-            "%s,%d,%d,%.17g\n"
-            % (task.method, forecasts.size, int(np.isnan(forecasts).sum()), rel)
-        )
+    write_table(spath, ["method", "n_forecasts", "n_missing", "rel_mse_vs_ar"],
+                [(task.method, forecasts.size, int(np.isnan(forecasts).sum()), rel)])
     print(f"wrote {path} and {spath}: rel MSE vs ar = {rel:.4g}")
 
 
@@ -478,6 +461,10 @@ def _eval_one_rep(gen, dist, N, T, seed, methods, grid, r_over):
     return rows
 
 
+def _r2_header(n_factors):
+    return ["method", "size"] + [f"f{j + 1}" for j in range(n_factors)]
+
+
 def cmd_eval_sim(cfg):
     if cfg["dgp"] is not None:
         dgp = cfg["dgp"]
@@ -500,40 +487,20 @@ def cmd_eval_sim(cfg):
 
     results = {}  # (size, method) -> list over reps of per-factor r2
     for N, T in sizes:
-        jobs = []
-        with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            for rep in range(cfg["reps"]):
-                jobs.append(
-                    pool.submit(
-                        _eval_one_rep, gen, dist, N, T,
-                        cfg["seed"] + rep, methods, grid, cfg["r"],
-                    )
-                )
-            for rep, fut in enumerate(jobs):
-                rows = fut.result()
-                rpath = os.path.join(rep_dir, f"rep_{N}x{T}_{rep}.csv")
-                with open(rpath, "w") as fh:
-                    fh.write("method,size," + ",".join(
-                        f"f{j + 1}" for j in range(len(rows[0][1]))) + "\n")
-                    for m, r2 in rows:
-                        fh.write(
-                            "%s,%dx%d," % (m, N, T)
-                            + ",".join("%.17g" % v for v in r2) + "\n"
-                        )
-                for m, r2 in rows:
-                    results.setdefault(((N, T), m), []).append(r2)
+        for rep in range(cfg["reps"]):
+            rows = _eval_one_rep(gen, dist, N, T, cfg["seed"] + rep, methods, grid, cfg["r"])
+            write_table(os.path.join(rep_dir, f"rep_{N}x{T}_{rep}.csv"),
+                        _r2_header(len(rows[0][1])),
+                        [(m, f"{N}x{T}", *r2) for m, r2 in rows])
+            for m, r2 in rows:
+                results.setdefault(((N, T), m), []).append(r2)
 
     path = os.path.join(outdir, "table.csv")
     n_fac = len(next(iter(results.values()))[0])
-    with open(path, "w") as fh:
-        fh.write("method,size," + ",".join(f"f{j + 1}" for j in range(n_fac)) + "\n")
-        for (N, T) in sizes:
-            for m in methods:
-                mean = np.mean(np.array(results[((N, T), m)]), axis=0)
-                fh.write(
-                    "%s,%dx%d," % (m, N, T)
-                    + ",".join("%.17g" % v for v in mean) + "\n"
-                )
+    write_table(path, _r2_header(n_fac), [
+        (m, f"{N}x{T}", *np.mean(results[((N, T), m)], axis=0))
+        for N, T in sizes for m in methods
+    ])
     print(f"wrote {path}: {len(sizes)} size(s) x {len(methods)} method(s) x {cfg['reps']} rep(s)")
 
 
@@ -548,23 +515,6 @@ def _add_options(sub, command):
         else:
             sub.add_argument("--" + name, default=None)
     return sub
-
-
-def _coerce(args, command):
-    """Parse string flag values through the schema's typed parsers."""
-    for name, parse, _ in _schema(command):
-        if name == "config":
-            continue
-        attr = name.replace("-", "_")
-        raw = getattr(args, attr, None)
-        if raw is None:
-            continue
-        try:
-            setattr(args, attr, parse(raw))
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"invalid value for --{name}: {raw!r}") from None
 
 
 _COMMANDS = {
@@ -605,7 +555,6 @@ def main(argv=None):
     command = args.command
     t0 = time.perf_counter()
     try:
-        _coerce(args, command)
         cfg = _resolve(args, command)
         os.makedirs(cfg["out"], exist_ok=True)
         _COMMANDS[command](cfg)

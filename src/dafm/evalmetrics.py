@@ -1,13 +1,12 @@
-"""Recovery and forecast metrics: adjusted R², sign alignment, CIV, relative MSE."""
+"""Recovery and forecast metrics: adjusted R² and relative MSE."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EvalReport", "adjusted_r2", "sign_align", "civ", "relative_mse"]
+__all__ = ["adjusted_r2", "relative_mse"]
 
 
 def adjusted_r2(true_factor, estimated):
@@ -43,47 +42,6 @@ def adjusted_r2(true_factor, estimated):
     return 1.0 - (1.0 - r2) * (T - 1) / (T - r - 1)
 
 
-def sign_align(F_hat, F0):
-    """Diagonal sign matrix aligning estimated factors with the truth.
-
-    Entry j is the sign of the j-th diagonal of F̂′F⁰/T, with exact zeros
-    mapped to +1.
-    """
-    F_hat = np.asarray(F_hat, dtype=float)
-    F0 = np.asarray(F0, dtype=float)
-    if F_hat.shape != F0.shape:
-        raise ValueError(f"shape mismatch: {F_hat.shape} vs {F0.shape}")
-    T = F_hat.shape[0]
-    d = np.einsum("tj,tj->j", F_hat, F0) / T
-    s = np.sign(d)
-    s[s == 0] = 1.0
-    return np.diag(s)
-
-
-def civ(residuals, period_index):
-    """Common idiosyncratic volatility per period.
-
-    For each period, take the sample standard deviation (divisor n-1) of
-    each entity's residuals within the period, then average equally across
-    entities.  ``period_index`` maps each time label of ``residuals`` to a
-    period key (a dict or a callable).  Returns ``{period: value}`` in order
-    of first appearance; every entity needs at least two observations per
-    period.
-    """
-    X = residuals.values
-    labels = residuals.time_labels
-    lookup = period_index if callable(period_index) else period_index.__getitem__
-    periods = {}
-    for t, lab in enumerate(labels):
-        periods.setdefault(lookup(lab), []).append(t)
-    out = {}
-    for per, rows in periods.items():
-        if len(rows) < 2:
-            raise ValueError(f"period {per!r} has {len(rows)} observation(s); need >= 2")
-        out[per] = float(np.mean(np.std(X[rows], axis=0, ddof=1)))
-    return out
-
-
 def relative_mse(forecasts, actuals, baseline_forecasts):
     """MSE of the forecasts divided by MSE of the baseline forecasts."""
     f = np.asarray(forecasts, dtype=float).ravel()
@@ -95,28 +53,3 @@ def relative_mse(forecasts, actuals, baseline_forecasts):
     if mse_b == 0.0:
         raise ValueError("baseline MSE is zero; relative MSE undefined")
     return float(np.mean((f - a) ** 2)) / mse_b
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Bundle of recovery diagnostics for one fitted model.
-
-    ``factor_r2`` holds one adjusted R² per true factor and ``signs`` the
-    alignment matrix from :func:`sign_align`; ``civ_series`` and
-    ``rel_mse`` are optional extras for volatility and forecast studies.
-    """
-
-    factor_r2: tuple
-    signs: np.ndarray
-    civ_series: dict | None = None
-    rel_mse: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor_r2", tuple(float(v) for v in self.factor_r2))
-        if any(v > 1.0 + 1e-12 for v in self.factor_r2):
-            raise ValueError("adjusted R² cannot exceed 1")
-        s = np.asarray(self.signs, dtype=float)
-        d = np.diag(s)
-        if not np.all(np.isin(d, (-1.0, 1.0))):
-            raise ValueError("sign matrix diagonal must be ±1")
-        object.__setattr__(self, "signs", s)

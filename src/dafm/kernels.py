@@ -77,7 +77,7 @@ def _solve_fraction_system(M, b):
     return [A[r][n] for r in range(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Polynomial kernel of even order m with support [-1, 1].
 
@@ -86,7 +86,8 @@ class Kernel:
     ``curv_v`` are the derived coefficients P, D, S, G and C in v = s^2 (see
     the module docstring).  ``conforming`` is True when the order admits a
     bandwidth exponent under 1/m < c < 1/6 (i.e. m >= 8); the m=2
-    Epanechnikov variant exists for unit tests only.
+    Epanechnikov variant exists for unit tests only.  Kernels compare and
+    hash by ``(order, coef)``.
     """
 
     order: int
@@ -114,6 +115,15 @@ class Kernel:
         for name, value in derived.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    def _key(self):
+        return self.order, tuple(self.coef.tolist())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Kernel) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def conforming(self):

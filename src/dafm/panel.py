@@ -1,4 +1,4 @@
-"""Panel container, CSV ingestion, series transforms, standardization.
+"""Panel container and CSV ingestion.
 
 A panel is a complete T x N table of finite floats: rows are time points,
 columns are series.  CSV layout: UTF-8, one header row, optional leading time
@@ -14,17 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Panel",
-    "TRANSFORM_CODES",
-    "load_panel",
-    "save_panel",
-    "apply_transform",
-    "invert_transform",
-    "standardize",
-]
-
-TRANSFORM_CODES = ("level", "diff", "diff2", "log", "log-diff", "log-diff2", "pct-diff")
+__all__ = ["Panel", "load_panel", "save_panel"]
 
 
 @dataclass(frozen=True)
@@ -93,25 +83,13 @@ class Panel:
     def n_series(self):
         return self.values.shape[1]
 
-    def series(self, sid):
-        """Return one column by id as a fresh 1-d array."""
-        try:
-            j = self.series_ids.index(str(sid))
-        except ValueError:
-            raise KeyError("unknown series id %r" % (sid,)) from None
-        return self.values[:, j].copy()
 
-
-def load_panel(path, orientation="time-rows"):
+def load_panel(path):
     """Read a rectangular numeric CSV into a :class:`Panel`.
 
-    orientation "time-rows" (default) treats data rows as time points and the
-    header as series ids; "series-rows" treats data rows as series (the result
-    is transposed into time-rows form, header cells become time labels).  A
-    first column holding labels is detected by the header cell "time".
+    Data rows are time points and the header cells are series ids.  A first
+    column holding time labels is detected by the header cell "time".
     """
-    if orientation not in ("time-rows", "series-rows"):
-        raise ValueError("orientation must be 'time-rows' or 'series-rows', got %r" % (orientation,))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh)]
     rows = [row for row in rows if row and not all(cell.strip() == "" for cell in row)]
@@ -149,10 +127,7 @@ def load_panel(path, orientation="time-rows"):
             data[ridx - 2, cidx] = val
 
     names = header[1:] if has_label_col else header
-    if orientation == "time-rows":
-        return Panel(data, series_ids=names, time_labels=labels if labels else None)
-    # series-rows: data rows are series, columns are time points
-    return Panel(data.T, series_ids=labels if labels else None, time_labels=names)
+    return Panel(data, series_ids=names, time_labels=labels if labels else None)
 
 
 def save_panel(panel, path):
@@ -162,102 +137,3 @@ def save_panel(panel, path):
         writer.writerow(["time"] + list(panel.series_ids))
         for t in range(panel.n_periods):
             writer.writerow([panel.time_labels[t]] + ["%.17g" % v for v in panel.values[t]])
-
-
-def apply_transform(series, code):
-    """Apply one named transform to a 1-d series.
-
-    Codes: level, diff, diff2, log, log-diff, log-diff2, pct-diff.  Differencing
-    shortens the output by the difference order; log codes require positive
-    inputs; pct-diff is x_t / x_{t-1} - 1 and requires nonzero predecessors.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be 1-d")
-    if code not in TRANSFORM_CODES:
-        raise ValueError("unknown transform code %r; valid: %s" % (code, ", ".join(TRANSFORM_CODES)))
-    order = {"diff": 1, "diff2": 2, "log-diff": 1, "log-diff2": 2, "pct-diff": 1}.get(code, 0)
-    if x.size < order + 1:
-        raise ValueError("series of length %d too short for %s" % (x.size, code))
-
-    if code == "level":
-        return x.copy()
-    if code in ("log", "log-diff", "log-diff2"):
-        bad = np.nonzero(x <= 0)[0]
-        if bad.size:
-            raise ValueError(
-                "log transform requires positive values; series[%d] = %g" % (bad[0], x[bad[0]])
-            )
-        lx = np.log(x)
-        if code == "log":
-            return lx
-        if code == "log-diff":
-            return np.diff(lx)
-        return np.diff(lx, n=2)
-    if code == "diff":
-        return np.diff(x)
-    if code == "diff2":
-        return np.diff(x, n=2)
-    # pct-diff
-    prev = x[:-1]
-    bad = np.nonzero(prev == 0)[0]
-    if bad.size:
-        raise ValueError("pct-diff requires nonzero predecessors; series[%d] = 0" % bad[0])
-    return x[1:] / prev - 1.0
-
-
-def invert_transform(transformed, code, anchor=None):
-    """Invert :func:`apply_transform` where defined.
-
-    ``anchor`` supplies the initial level(s) removed by differencing: a scalar
-    for first-order codes, a pair (x0, x1) of initial *levels* for the
-    second-order codes.  Level and log need no anchor.
-    """
-    d = np.asarray(transformed, dtype=float)
-    if code not in TRANSFORM_CODES:
-        raise ValueError("unknown transform code %r" % (code,))
-    if code == "level":
-        return d.copy()
-    if code == "log":
-        return np.exp(d)
-    if code in ("diff", "log-diff", "pct-diff"):
-        if anchor is None or np.ndim(anchor) != 0:
-            raise ValueError("%s inversion needs a scalar anchor (initial level)" % code)
-        x0 = float(anchor)
-        if code == "diff":
-            return np.concatenate(([x0], x0 + np.cumsum(d)))
-        if code == "log-diff":
-            return np.concatenate(([x0], x0 * np.exp(np.cumsum(d))))
-        return np.concatenate(([x0], x0 * np.cumprod(1.0 + d)))
-    # second-order codes: anchor is the pair of initial levels
-    if anchor is None or np.size(anchor) != 2:
-        raise ValueError("%s inversion needs two anchor levels (x0, x1)" % code)
-    x0, x1 = (float(a) for a in np.asarray(anchor, dtype=float))
-    if code == "diff2":
-        first = np.concatenate(([x1 - x0], (x1 - x0) + np.cumsum(d)))
-        return np.concatenate(([x0], x0 + np.cumsum(first)))
-    # log-diff2
-    l0, l1 = math.log(x0), math.log(x1)
-    first = np.concatenate(([l1 - l0], (l1 - l0) + np.cumsum(d)))
-    return np.exp(np.concatenate(([l0], l0 + np.cumsum(first))))
-
-
-def standardize(panel):
-    """Scale every series to sample mean 0, sample sd 1 (divisor n-1).
-
-    Returns the standardized panel and the list of (mean, sd) pairs that invert
-    the map exactly.  Constant series are rejected.
-    """
-    X = panel.values
-    if X.shape[0] < 2:
-        raise ValueError("standardize needs at least 2 rows")
-    means = X.mean(axis=0)
-    sds = X.std(axis=0, ddof=1)
-    flat = np.nonzero(sds == 0)[0]
-    if flat.size:
-        raise ValueError(
-            "constant series cannot be standardized: %r" % (panel.series_ids[flat[0]],)
-        )
-    Z = (X - means) / sds
-    out = Panel(Z, series_ids=panel.series_ids, time_labels=panel.time_labels)
-    return out, [(float(m), float(s)) for m, s in zip(means, sds)]

@@ -1,9 +1,11 @@
-"""On-disk formats: fitted-model directories and key=value text files.
+"""On-disk formats: CSV tables, fitted-model directories and key=value files.
 
-A fit directory holds ``F.csv`` (T×r), one ``Lambda_<k>.csv`` (N×r) per
-quantile level in grid order (1-based), and a ``meta`` file.  Matrices are
-plain comma-separated rows, no header, printed at 17 significant digits so a
-save/load round trip is bit-identical.
+The CLI's tables and the fit matrices go through ``write_table``: an
+optional header line, then comma-separated cells, a float printed at 17
+significant digits so a save/load round trip is bit-identical.  A fit
+directory holds ``F.csv`` (T×r), one ``Lambda_<k>.csv`` (N×r) per quantile
+level in grid order (1-based), and a ``meta`` file; the matrices have no
+header.
 
 The ``meta`` file — and every config/manifest file in the package — uses one
 ``key=value`` pair per line: ``#`` starts a comment, blank lines are
@@ -23,6 +25,7 @@ from .grids import QuantileGrid
 __all__ = [
     "save_fit",
     "load_fit",
+    "write_table",
     "write_matrix",
     "read_matrix",
     "write_kv",
@@ -34,10 +37,7 @@ __all__ = [
 
 def write_matrix(path, M):
     """Write a 2-d array as headerless CSV at full precision."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w") as fh:
-        for row in M:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_table(path, None, np.atleast_2d(np.asarray(M, dtype=float)))
 
 
 def read_matrix(path):
@@ -56,13 +56,26 @@ def read_matrix(path):
 
 
 def _format_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     if isinstance(v, float):
         return "%.17g" % v
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
     if isinstance(v, (list, tuple, np.ndarray)):
         return ",".join(_format_value(x) for x in v)
     return str(v)
+
+
+def write_table(path, header, rows):
+    """Write CSV: an optional header line, then one line per row.
+
+    Each cell is formatted by its type, as in :func:`write_kv`: a float at
+    17 significant digits, an int as digits, a str as is.
+    """
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_value(v) for v in row) + "\n")
 
 
 def write_kv(path, mapping):

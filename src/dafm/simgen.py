@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .grids import QuantileGrid
 from .panel import Panel
@@ -116,6 +115,8 @@ class ErrorDist:
             return 0.0
         if self.kind == "mixture":
             return p[0] * p[1] + (1.0 - p[0]) * p[3]
+        import scipy.special
+
         xi, omega, alpha, nu = p
         delta = alpha / math.sqrt(1.0 + alpha * alpha)
         return xi + omega * delta * math.sqrt(nu / math.pi) * math.exp(
@@ -125,8 +126,9 @@ class ErrorDist:
     def _offset(self):
         return self.raw_mean() if self.centered else 0.0
 
-    # scipy.stats, scipy.integrate and scipy.optimize are imported where
-    # they are used: together they take about half a second to import.
+    # scipy.special, scipy.stats, scipy.integrate and scipy.optimize are
+    # imported where they are used: together they take over half a second
+    # to import.
 
     def _raw_pdf(self, x):
         import scipy.stats

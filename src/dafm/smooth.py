@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import NumericalError
 from .estimator import _finish, _outer_loop, _setup, fit_dafm
@@ -341,6 +340,8 @@ def _interval(est, raw, M, middle, n, level, where, cov_field, **fields):
     M_inv = np.linalg.inv(M)
     cov = M_inv @ middle @ M_inv / n
     cov = 0.5 * (cov + cov.T)
+    import scipy.special  # imported here: it takes about 0.2 s to import
+
     z = scipy.special.ndtri(0.5 * (1.0 + level))  # the standard normal quantile
     half = z * np.sqrt(np.maximum(np.diag(cov), 0.0))
     asym = AsymptoticCov(psd=psd_ok, **{cov_field: cov}, **fields)

@@ -10,8 +10,12 @@ exact check loss, so the alternating sweeps can never increase the
 objective.
 
 A reference simplex solution via ``scipy.optimize.linprog`` is exposed as
-``lp_oracle_quantile``.  It is the independent check of the interior point
-and the fallback when the interior point cannot certify optimality.
+``lp_oracle_quantile``.  It is the independent check of the interior point.
+Only ``quantile_regress`` and ``composite_factor_step`` fall back to it
+(through ``_solve_or_lp``) when the interior point cannot certify
+optimality.  The fit's sweeps never do: a row that misses the gap target is
+counted, the fit warns, and the row keeps the best of its interior-point,
+polished and previous iterates like any other.
 """
 
 from __future__ import annotations

@@ -189,16 +189,43 @@ def test_forecast_cli(sim_dir, tmp_path):
 
 
 def test_eval_sim_jobs_deterministic(tmp_path):
-    a, b = tmp_path / "j1", tmp_path / "j2"
-    common = (
+    # eval-sim once had a --jobs option; a manifest that still holds jobs=2
+    # re-runs through --config, and the same seed gives the same bytes
+    a, b = tmp_path / "a", tmp_path / "b"
+    res = run_cli(
         "eval-sim", "--table", 1, "--dist", "gaussian", "--sizes", "20x20",
         "--reps", 2, "--methods", "dafm,pca", "--levels", "0.25,0.5,0.75",
-        "--seed", 3,
+        "--seed", 3, "--out", a,
     )
-    res = run_cli(*common, "--jobs", 1, "--out", a)
     assert res.returncode == 0, res.stderr
-    res = run_cli(*common, "--jobs", 2, "--out", b)
+    old_manifest = tmp_path / "old_manifest"
+    old_manifest.write_text((a / "manifest").read_text() + "jobs=2\n")
+    res = run_cli("eval-sim", "--config", old_manifest, "--out", b)
     assert res.returncode == 0, res.stderr
-    assert (a / "table.csv").read_bytes() == (b / "table.csv").read_bytes()
+    assert "jobs" not in read_kv(b / "manifest")
     reps = sorted(p.name for p in (a / "reps").iterdir())
     assert reps == ["rep_20x20_0.csv", "rep_20x20_1.csv"]
+    assert sorted(p.name for p in (b / "reps").iterdir()) == reps
+    for name in ["table.csv"] + [f"reps/{r}" for r in reps]:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_option_errors_name_their_source(sim_dir, tmp_path, capsys):
+    argv = ["fit", "--panel", str(sim_dir / "panel.csv"), "--out", str(tmp_path)]
+    assert dafm.cli.main(argv + ["--r", "two"]) == 2
+    assert "invalid value for --r: 'two'" in capsys.readouterr().err
+    config = tmp_path / "conf"
+    config.write_text("r=two\n")
+    assert dafm.cli.main(argv + ["--config", str(config)]) == 2
+    assert "config key r='two' is invalid" in capsys.readouterr().err
+    # a flag overrides the config file, and an empty config value means unset:
+    # neither r=two nor tol= is parsed, and the error is the later --max-outer
+    config.write_text("r=two\ntol=\n")
+    assert dafm.cli.main(argv + ["--config", str(config), "--r", "2", "--max-outer", "0"]) == 2
+    assert "--max-outer must be a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy_special():
+    code = "import sys, dafm; assert 'scipy.special' not in sys.modules, 'loaded'"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

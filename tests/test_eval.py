@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from dafm import EvalReport, Panel, adjusted_r2, civ, relative_mse, sign_align
+from dafm import adjusted_r2, relative_mse
 
 
 def test_adjusted_r2_perfect_fit_and_formula():
@@ -49,39 +47,6 @@ def test_adjusted_r2_collinear_and_errors():
         adjusted_r2(np.arange(4.0), rng.standard_normal((4, 3)))
 
 
-def test_sign_align_conventions():
-    rng = np.random.default_rng(3)
-    F0 = rng.standard_normal((50, 3))
-    flips = np.diag([1.0, -1.0, 1.0])
-    S = sign_align(F0 @ flips, F0)
-    np.testing.assert_array_equal(S, flips)
-    # exactly orthogonal columns map to +1
-    a = np.array([[1.0], [-1.0]])
-    b = np.array([[1.0], [1.0]])
-    np.testing.assert_array_equal(sign_align(a, b), [[1.0]])
-    with pytest.raises(ValueError, match="shape mismatch"):
-        sign_align(np.ones((5, 2)), np.ones((5, 3)))
-
-
-def test_civ_hand_example():
-    p = Panel(np.array([[1.0, 2.0], [-1.0, -2.0]]), time_labels=("a", "b"))
-    out = civ(p, {"a": "q1", "b": "q1"})
-    assert out == {"q1": pytest.approx(1.5 * math.sqrt(2.0))}
-
-
-def test_civ_multiple_periods_and_ordering():
-    X = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0], [2.0, 6.0]])
-    p = Panel(X, time_labels=("t1", "t2", "t3", "t4"))
-    out = civ(p, lambda lab: "early" if lab in ("t1", "t2") else "late")
-    assert list(out) == ["early", "late"]
-    # early: entity stds of (1,3) and (2,4) are both sqrt(2)
-    assert out["early"] == pytest.approx(math.sqrt(2.0))
-    # late: stds of (0,2) and (0,6) are sqrt(2) and 3 sqrt(2)
-    assert out["late"] == pytest.approx(2.0 * math.sqrt(2.0))
-    with pytest.raises(ValueError, match="need >= 2"):
-        civ(p, {"t1": "a", "t2": "a", "t3": "a", "t4": "d"})
-
-
 def test_relative_mse_values_and_errors():
     a = np.array([1.0, 2.0, 3.0])
     f = np.array([1.0, 2.0, 4.0])
@@ -93,13 +58,3 @@ def test_relative_mse_values_and_errors():
         relative_mse(f, a, a)
     with pytest.raises(ValueError, match="share a length"):
         relative_mse(f, a, b[:2])
-
-
-def test_eval_report_validation():
-    rep = EvalReport(factor_r2=(0.9, 0.8), signs=np.diag([1.0, -1.0]))
-    assert rep.factor_r2 == (0.9, 0.8)
-    assert rep.civ_series is None and rep.rel_mse is None
-    with pytest.raises(ValueError, match="exceed 1"):
-        EvalReport(factor_r2=(1.2,), signs=np.diag([1.0]))
-    with pytest.raises(ValueError, match="±1"):
-        EvalReport(factor_r2=(0.5,), signs=np.diag([0.5]))

@@ -168,3 +168,14 @@ def test_kernel_with_an_odd_coefficient_is_rejected():
         Kernel(order=2, coef=np.array([0.75, 1e-3, -0.75]))
     # odd positions that are exactly zero are fine
     assert Kernel(order=2, coef=np.array([0.75, 0.0, -0.75])).pdf(0.0) == 0.75
+
+
+def test_kernels_compare_and_hash_by_order_and_coefficients():
+    a, b = build_kernel(8), build_kernel(8)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_kernel(10)
+    assert a != build_kernel(2)
+    cfg = SmoothConfig.for_sample(100)
+    assert hash(cfg) == hash(SmoothConfig.for_sample(100))
+    assert cfg == SmoothConfig.for_sample(100)
+    assert cfg != SmoothConfig.for_sample(101)

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from dafm.panel import (
-    Panel,
-    apply_transform,
-    invert_transform,
-    load_panel,
-    save_panel,
-    standardize,
-)
+from dafm.panel import Panel, load_panel, save_panel
 
 
 def test_panel_defaults_and_shape():
@@ -39,13 +32,6 @@ def test_panel_rejects_bad_input():
         Panel(np.ones((2, 2)), time_labels=("t1",))
 
 
-def test_series_lookup():
-    p = Panel(np.array([[1.0, 2.0], [3.0, 4.0]]), series_ids=("gdp", "cpi"))
-    np.testing.assert_array_equal(p.series("cpi"), [2.0, 4.0])
-    with pytest.raises(KeyError):
-        p.series("unemployment")
-
-
 def test_save_load_round_trip_is_bit_identical(tmp_path):
     rng = np.random.default_rng(0)
     p = Panel(rng.standard_normal((7, 4)) * 1e-3, series_ids=("a", "b", "c", "d"))
@@ -57,16 +43,6 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
     assert np.array_equal(q.values, p.values)  # exact, not approximate
 
 
-def test_load_panel_series_rows_orientation(tmp_path):
-    path = tmp_path / "wide.csv"
-    path.write_text("time,t1,t2,t3\nalpha,1,2,3\nbeta,4,5,6\n")
-    p = load_panel(path, orientation="series-rows")
-    assert p.shape == (3, 2)
-    assert p.series_ids == ("alpha", "beta")
-    assert p.time_labels == ("t1", "t2", "t3")
-    np.testing.assert_array_equal(p.values[:, 0], [1.0, 2.0, 3.0])
-
-
 def test_load_panel_errors(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,b\n1,2\n3\n")
@@ -76,47 +52,3 @@ def test_load_panel_errors(tmp_path):
     nonnum.write_text("a,b\n1,x\n")
     with pytest.raises(ValueError, match="non-numeric"):
         load_panel(nonnum)
-    with pytest.raises(ValueError, match="orientation"):
-        load_panel(ragged, orientation="sideways")
-
-
-def test_transform_round_trips():
-    rng = np.random.default_rng(3)
-    x = np.abs(rng.standard_normal(30)) + 0.5  # positive, nonzero
-    for code in ("level", "log", "diff", "log-diff", "pct-diff"):
-        d = apply_transform(x, code)
-        anchor = None if code in ("level", "log") else x[0]
-        back = invert_transform(d, code, anchor=anchor)
-        np.testing.assert_allclose(back, x, rtol=1e-12)
-    for code in ("diff2", "log-diff2"):
-        d = apply_transform(x, code)
-        back = invert_transform(d, code, anchor=(x[0], x[1]))
-        np.testing.assert_allclose(back, x, rtol=1e-12)
-
-
-def test_transform_validation():
-    with pytest.raises(ValueError, match="unknown transform"):
-        apply_transform([1.0, 2.0], "boxcox")
-    with pytest.raises(ValueError, match="positive"):
-        apply_transform([1.0, -1.0], "log")
-    with pytest.raises(ValueError, match="nonzero predecessors"):
-        apply_transform([1.0, 0.0, 2.0], "pct-diff")
-    with pytest.raises(ValueError, match="too short"):
-        apply_transform([1.0], "diff")
-    with pytest.raises(ValueError, match="anchor"):
-        invert_transform([0.1], "diff")
-    with pytest.raises(ValueError, match="two anchor"):
-        invert_transform([0.1], "diff2", anchor=1.0)
-
-
-def test_standardize():
-    rng = np.random.default_rng(4)
-    p = Panel(rng.standard_normal((50, 3)) * 7 + 2)
-    z, stats = standardize(p)
-    np.testing.assert_allclose(z.values.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(z.values.std(axis=0, ddof=1), 1.0, rtol=1e-12)
-    # the returned (mean, sd) pairs invert the map exactly
-    back = z.values * [s for _, s in stats] + [m for m, _ in stats]
-    np.testing.assert_allclose(back, p.values, rtol=1e-12)
-    with pytest.raises(ValueError, match="constant series"):
-        standardize(Panel(np.column_stack([np.ones(5), np.arange(5.0)])))

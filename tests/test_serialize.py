@@ -20,6 +20,7 @@ from dafm.serialize import (
     read_matrix,
     write_kv,
     write_matrix,
+    write_table,
 )
 
 
@@ -36,6 +37,19 @@ def test_matrix_round_trip_awkward_values(tmp_path):
     # 1-d input is promoted to a single row
     write_matrix(path, np.array([1.0, 2.0]))
     assert read_matrix(path).shape == (1, 2)
+
+
+def test_write_table_formats_cells_by_type(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [(1, 0.1 + 0.2, "a"), (np.int64(-7), np.float64(math.nan), "%g" % 0.95)]
+    write_table(path, ["n", "x", "label"], rows)
+    assert path.read_text() == (
+        "n,x,label\n"
+        "1,0.30000000000000004,a\n"
+        "-7,nan,0.95\n"
+    )
+    write_table(path, None, [(2.5, math.pi)])
+    assert path.read_text() == "2.5,3.1415926535897931\n"
 
 
 def test_matrix_errors(tmp_path):
