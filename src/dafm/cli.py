@@ -33,7 +33,7 @@ from .simgen import (
     parse_dist,
     weight_scheme,
 )
-from .smooth import factor_ci, loading_ci, fit_smoothed_dafm
+from .smooth import _check_index, factor_ci, fit_smoothed_dafm, loading_ci
 
 
 class ConfigError(Exception):
@@ -336,16 +336,21 @@ def cmd_infer(cfg):
         scfg = SmoothConfig(kernel=kernel, bandwidth=cfg["bandwidth"])
     else:
         scfg = SmoothConfig.for_sample(T, kernel=kernel)
-    fit = fit_smoothed_dafm(panel, grid, fc, scfg)
+    # every index is checked before the fit, which takes the time
     if cfg["t"] is not None:
         if cfg["t"] > T:
             raise ConfigError(f"--t {cfg['t']} exceeds panel length {T}")
-        ci = factor_ci(fit, panel, scfg, cfg["t"], level=cfg["level"])
     else:
         try:
             k, i = (int(v) for v in cfg["loading"].split(","))
         except ValueError:
             raise ConfigError("--loading expects K,I (1-based integers)") from None
+        _check_index("level", k, len(grid))
+        _check_index("series", i, panel.values.shape[1])
+    fit = fit_smoothed_dafm(panel, grid, fc, scfg)
+    if cfg["t"] is not None:
+        ci = factor_ci(fit, panel, scfg, cfg["t"], level=cfg["level"])
+    else:
         ci = loading_ci(fit, panel, scfg, k, i, level=cfg["level"])
     outdir = cfg["out"]
     os.makedirs(outdir, exist_ok=True)

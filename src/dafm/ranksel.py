@@ -57,8 +57,15 @@ def default_penalty(N, T, scale):
     return float(scale) * L ** (-2.0 / 3.0)
 
 
-def _default_s_max(N, T):
-    return max(1, min(8, min(N, T) // 3))
+def _resolve_s_max(s_max, N, T):
+    """``s_max``, or its default min(8, min(N,T)//3) (at least 1), checked
+    to lie in [1, min(N,T))."""
+    if s_max is None:
+        s_max = max(1, min(8, min(N, T) // 3))
+    s_max = int(s_max)
+    if not 1 <= s_max < min(N, T):
+        raise ValueError(f"s_max must be in [1, min(N,T)), got {s_max}")
+    return s_max
 
 
 def select_rank_ic(panel, grid, s_max=None, penalty=None, cfg=None):
@@ -72,11 +79,7 @@ def select_rank_ic(panel, grid, s_max=None, penalty=None, cfg=None):
     """
     X = panel.values
     T, N = X.shape
-    if s_max is None:
-        s_max = _default_s_max(N, T)
-    s_max = int(s_max)
-    if not 1 <= s_max < min(N, T):
-        raise ValueError(f"s_max must be in [1, min(N,T)), got {s_max}")
+    s_max = _resolve_s_max(s_max, N, T)
     if penalty is not None and penalty <= 0:
         raise ValueError(f"penalty must be positive, got {penalty}")
     if cfg is None:
@@ -127,11 +130,7 @@ def select_rank_eigen(panel, grid, s_max=None, thresholds="auto", cfg=None):
     """
     X = panel.values
     T, N = X.shape
-    if s_max is None:
-        s_max = _default_s_max(N, T)
-    s_max = int(s_max)
-    if not 1 <= s_max < min(N, T):
-        raise ValueError(f"s_max must be in [1, min(N,T)), got {s_max}")
+    s_max = _resolve_s_max(s_max, N, T)
     if cfg is None:
         cfg = FitConfig(r=s_max)
 

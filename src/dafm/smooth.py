@@ -51,17 +51,15 @@ PSD_TOL = 1e-10
 class AsymptoticCov:
     """Plug-in covariance pieces behind one confidence-interval call.
 
-    Factor intervals fill ``psi_t``, ``sigma_kk`` and ``factor_cov_t``;
-    loading intervals fill ``phi_ki`` and ``loading_cov_ki``.  ``psd``
-    records whether the raw (unclamped) plug-in matrix was numerically
+    Factor intervals fill ``psi_t`` and ``sigma_kk``; loading intervals
+    fill ``phi_ki``.  The covariance itself is ``ConfidenceIntervals.cov``.
+    ``psd`` records whether the raw (unclamped) plug-in matrix was numerically
     positive definite; inversion always uses the density-floored version.
     """
 
     psi_t: np.ndarray | None = None
     phi_ki: np.ndarray | None = None
     sigma_kk: np.ndarray | None = None
-    factor_cov_t: np.ndarray | None = None
-    loading_cov_ki: np.ndarray | None = None
     psd: bool = True
 
 
@@ -323,8 +321,8 @@ def _check_aspect(T, N):
         )
 
 
-def _interval(est, raw, M, middle, n, level, where, cov_field, **fields):
-    """Intervals est ± z sqrt(diag(cov)), cov = M^-1 middle M^-1 / n stored as ``cov_field``.
+def _interval(est, raw, M, middle, n, level, where, **fields):
+    """Intervals est ± z sqrt(diag(cov)), cov = M^-1 middle M^-1 / n.
 
     ``raw`` (the unfloored plug-in matrix) only sets the ``psd`` flag; ``M``
     (its density-floored version) is inverted.
@@ -344,7 +342,7 @@ def _interval(est, raw, M, middle, n, level, where, cov_field, **fields):
 
     z = scipy.special.ndtri(0.5 * (1.0 + level))  # the standard normal quantile
     half = z * np.sqrt(np.maximum(np.diag(cov), 0.0))
-    asym = AsymptoticCov(psd=psd_ok, **{cov_field: cov}, **fields)
+    asym = AsymptoticCov(psd=psd_ok, **fields)
     return ConfidenceIntervals(
         estimate=est.copy(), lower=est - half, upper=est + half,
         level=float(level), cov=cov, asym=asym,
@@ -372,7 +370,7 @@ def factor_ci(fit, panel, scfg, t, level=0.95):
     sigma = (L @ L.T / N).reshape(K, r, K, r).transpose(0, 2, 1, 3)
     omega = np.einsum("km,kmab->ab", np.outer(wts, wts) * tau_comoments(fit.grid), sigma)
     return _interval(F[t - 1], psi_raw, psi, omega, N, level, f"at period {t}",
-                     "factor_cov_t", psi_t=psi, sigma_kk=sigma)
+                     psi_t=psi, sigma_kk=sigma)
 
 
 def loading_ci(fit, panel, scfg, k, i, level=0.95):
@@ -390,4 +388,4 @@ def loading_ci(fit, panel, scfg, k, i, level=0.95):
     tau = fit.grid.levels[k - 1]
     middle = tau * (1.0 - tau) * np.eye(F.shape[1])
     return _interval(lam[k - 1, i - 1], phi_raw, phi, middle, T, level,
-                     f"for level {k}, series {i}", "loading_cov_ki", phi_ki=phi)
+                     f"for level {k}, series {i}", phi_ki=phi)

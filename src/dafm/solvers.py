@@ -4,33 +4,23 @@ One batched layer solves every exact subproblem: B quantile regressions on
 one shared design, by a Mehrotra interior point on the LP dual
 (`_qreg_ipm`) and a vertex polish (`_qreg_polish`).  A loading sweep is one
 batch (K·N regressions on the factors), a factor sweep another (T periods on
-the stacked loadings), and a single regression is a batch of one.  Each row
-of a result is the best of (interior point, polish, previous iterate) by the
-exact check loss, so the alternating sweeps can never increase the
-objective.
+the stacked loadings).  Each row of a result is the best of (interior point,
+polish, previous iterate) by the exact check loss, so the alternating sweeps
+can never increase the objective.  A row that misses the gap target is
+counted and the fit warns; nothing falls back to another solver.
 
 A reference simplex solution via ``scipy.optimize.linprog`` is exposed as
-``lp_oracle_quantile``.  It is the independent check of the interior point.
-Only ``quantile_regress`` and ``composite_factor_step`` fall back to it
-(through ``_solve_or_lp``) when the interior point cannot certify
-optimality.  The fit's sweeps never do: a row that misses the gap target is
-counted, the fit warns, and the row keeps the best of its interior-point,
-polished and previous iterates like any other.
+``lp_oracle_quantile``.  It is the tests' independent check of the interior
+point, and nothing in the fit calls it.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from .errors import NumericalError
 
-__all__ = [
-    "quantile_regress",
-    "lp_oracle_quantile",
-    "composite_factor_step",
-]
+__all__ = ["lp_oracle_quantile"]
 
 _STEP_BACKOFF = 0.9995
 
@@ -157,11 +147,8 @@ def _qreg_solve(Z, Y, taus, prev, gap_rtol, max_iter):
 
     No row's objective is above that of its previous iterate, which makes
     alternating descent monotone by construction even where the interior
-    point stalls.  A 1-D ``Y`` and ``prev`` are a batch of one, returned as
-    a 1-D ``beta``, a scalar objective and a bool.
+    point stalls.
     """
-    one = Y.ndim == 1
-    Y, prev = np.atleast_2d(Y), np.atleast_2d(prev)
     beta, _, ok = _qreg_ipm(Z, Y, taus, gap_rtol, max_iter)
     beta, obj = _qreg_polish(Z, Y, taus, beta)
     obj_prev = _ploss(Y - prev @ Z.T, taus)
@@ -170,9 +157,6 @@ def _qreg_solve(Z, Y, taus, prev, gap_rtol, max_iter):
     if floor.any():
         beta = np.where(floor[:, None], prev, beta)
         obj = np.where(floor, obj_prev, obj)
-    ok = np.broadcast_to(ok, obj.shape)
-    if one:
-        return beta[0], obj[0], bool(ok[0])
     return beta, obj, ok
 
 
@@ -186,12 +170,6 @@ def _loading_sweep(XT, F, taus, lam_prev, gap_rtol, max_iter):
     return lam.reshape(K, N, r), int(np.count_nonzero(~ok))
 
 
-def _stack_design(lam, taus, wts):
-    """Stack weighted loadings across levels into one (K*N, r) design."""
-    K, N, r = lam.shape
-    return (wts[:, None, None] * lam).reshape(K * N, r), np.repeat(taus, N)
-
-
 def _factor_sweep(X, lam, taus, wts, F_prev, gap_rtol, max_iter):
     """Every period's composite quantile regression on fixed loadings as one
     batch on the stacked design.
@@ -201,9 +179,10 @@ def _factor_sweep(X, lam, taus, wts, F_prev, gap_rtol, max_iter):
     for w > 0.  Returns the (T, r) factors and the count of missed gap
     targets.
     """
-    Zs, tau_s = _stack_design(lam, taus, wts)
+    K, N, r = lam.shape
+    Zs = (wts[:, None, None] * lam).reshape(K * N, r)
     Y = (wts[None, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-    F, _, ok = _qreg_solve(Zs, Y, tau_s, F_prev, gap_rtol, max_iter)
+    F, _, ok = _qreg_solve(Zs, Y, np.repeat(taus, N), F_prev, gap_rtol, max_iter)
     return F, int(np.count_nonzero(~ok))
 
 
@@ -244,8 +223,8 @@ def lp_oracle_quantile(y, Z, tau, weights=None):
 
     with HiGHS.  ``tau`` may be a scalar or a per-observation vector and
     ``weights`` an optional positive per-observation vector.  Slower than
-    :func:`quantile_regress` but independent of it; used as the correctness
-    oracle and as the fallback when the interior point fails to certify.
+    the batched interior point but independent of it: the tests' correctness
+    oracle, which nothing falls back to.
     """
     # Imported here: scipy.optimize costs about half a second to import,
     # and only this oracle needs it.
@@ -271,64 +250,3 @@ def lp_oracle_quantile(y, Z, tau, weights=None):
     if res.status != 0:
         raise NumericalError(f"LP oracle failed: {res.message}")
     return res.x[:r]
-
-
-def _solve_or_lp(Z, y, taus, what, gap_rtol, max_iter):
-    """Interior point from zero; when it does not certify optimality, warn,
-    run the LP oracle and keep whichever has the lower check loss."""
-    beta, _, ok = _qreg_solve(Z, y, taus, np.zeros(Z.shape[1]), gap_rtol, max_iter)
-    if not ok:
-        warnings.warn(
-            f"interior-point {what} did not certify optimality; "
-            "falling back to the LP solver",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        beta_lp = lp_oracle_quantile(y, Z, taus)
-        if _ploss(y - Z @ beta_lp, taus) < _ploss(y - Z @ beta, taus):
-            beta = beta_lp
-    return beta
-
-
-def quantile_regress(y, Z, tau, gap_rtol=1e-10, max_iter=60):
-    """Quantile regression of ``y`` on design ``Z`` at level ``tau``.
-
-    Runs the interior-point solver with a vertex polish; if the duality gap
-    cannot be certified the exact LP fallback is used instead.  Requires at
-    least as many observations as columns and a full-rank design.
-    """
-    y, Z = _as_design(y, Z)
-    n, r = Z.shape
-    if n < r:
-        raise ValueError(f"need at least {r} observations for {r} coefficients, got {n}")
-    if np.linalg.matrix_rank(Z) < r:
-        raise ValueError("design matrix is rank deficient")
-    taus = _tau_vector(tau, n)
-    return _solve_or_lp(Z, y, taus, "quantile regression", gap_rtol, max_iter)
-
-
-def composite_factor_step(x_t, loadings, grid, gap_rtol=1e-10, max_iter=60):
-    """Composite quantile regression for one period's factor vector.
-
-    Minimizes sum_k sum_i w_k * rho_{tau_k}(x_t[i] - loadings[k, i] @ f) over
-    f by stacking the K level blocks into one design with rows scaled by
-    w_k (valid because the check loss is positively homogeneous).
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    lam = np.asarray(loadings, dtype=np.float64)
-    if lam.ndim == 2:
-        lam = lam[np.newaxis]
-    if lam.ndim != 3:
-        raise ValueError(f"loadings must be (K, N, r), got shape {loadings.shape}")
-    K, N, r = lam.shape
-    if x_t.shape != (N,):
-        raise ValueError(f"expected cross-section of length {N}, got shape {x_t.shape}")
-    if len(grid) != K:
-        raise ValueError(f"grid has {len(grid)} levels but loadings have {K}")
-    taus = grid.levels_array()
-    wts = grid.weights_array()
-    Zs, tau_s = _stack_design(lam, taus, wts)
-    if np.linalg.matrix_rank(Zs) < r:
-        raise ValueError("stacked loading matrix is rank deficient")
-    ys = np.repeat(wts, N) * np.tile(x_t, K)
-    return _solve_or_lp(Zs, ys, tau_s, "factor step", gap_rtol, max_iter)

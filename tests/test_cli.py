@@ -172,6 +172,25 @@ def test_infer_output(sim_dir, tmp_path):
     assert res.returncode == 2
 
 
+def test_infer_checks_its_indices_before_the_fit(sim_dir, tmp_path, monkeypatch, capsys):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_smoothed_dafm was called")
+
+    monkeypatch.setattr(dafm.cli, "fit_smoothed_dafm", no_fit)
+    argv = ["infer", "--panel", str(sim_dir / "panel.csv"), "--r", "2",
+            "--levels", "0.25,0.5,0.75", "--out", str(tmp_path)]
+    for flags, message in [
+        (["--t", "999"], "--t 999 exceeds panel length 40"),
+        (["--loading", "2"], "--loading expects K,I (1-based integers)"),
+        (["--loading", "1,x"], "--loading expects K,I (1-based integers)"),
+        (["--loading", "9,1"], "level index must be in 1..3, got 9"),
+        (["--loading", "0,1"], "level index must be in 1..3, got 0"),
+        (["--loading", "1,16"], "series index must be in 1..15, got 16"),
+    ]:
+        assert dafm.cli.main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_forecast_cli(sim_dir, tmp_path):
     res = run_cli(
         "forecast", "--panel", sim_dir / "panel.csv", "--target", 1,

@@ -268,7 +268,7 @@ def test_gap_misses_warn_once_with_their_count(monkeypatch):
     import dafm.solvers as solvers
 
     ipm = solvers._qreg_ipm
-    monkeypatch.setattr(solvers, "_qreg_ipm", lambda *a: (*ipm(*a)[:2], False))
+    monkeypatch.setattr(solvers, "_qreg_ipm", lambda *a: (*ipm(*a)[:2], np.zeros(len(a[1]), bool)))
     p = _panel(11, T=12, N=8)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

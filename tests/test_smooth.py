@@ -250,7 +250,6 @@ def test_factor_ci_matches_manual_sandwich():
     psi_inv = np.linalg.inv(ci.asym.psi_t)
     cov = psi_inv @ omega @ psi_inv / N
     np.testing.assert_allclose(ci.cov, 0.5 * (cov + cov.T), rtol=1e-12, atol=1e-15)
-    np.testing.assert_array_equal(ci.asym.factor_cov_t, ci.cov)
     np.testing.assert_array_equal(ci.estimate, fit.F[10])
 
 

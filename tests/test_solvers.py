@@ -5,16 +5,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dafm.grids import QuantileGrid
 from dafm.solvers import (
+    _factor_sweep,
+    _loading_sweep,
     _max_step,
     _ploss,
     _qreg_ipm,
     _qreg_polish,
     _qreg_solve,
-    composite_factor_step,
     lp_oracle_quantile,
-    quantile_regress,
 )
 
 
@@ -26,6 +25,13 @@ def _instance(rng, n, r, heavy=False):
     return Z, Z @ beta + noise
 
 
+def _solve_one(y, Z, tau):
+    """One regression as a batch of one, started from zero."""
+    taus = np.broadcast_to(np.asarray(tau, dtype=float), y.shape)
+    beta, _, _ = _qreg_solve(Z, y[None], taus, np.zeros((1, Z.shape[1])), 1e-10, 60)
+    return beta[0]
+
+
 def test_ipm_matches_lp_oracle_on_random_designs():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -34,7 +40,7 @@ def test_ipm_matches_lp_oracle_on_random_designs():
         r = int(rng.integers(1, 5))
         Z, y = _instance(rng, n, r, heavy=bool(trial % 2))
         tau = float(rng.uniform(0.08, 0.92))
-        beta = quantile_regress(y, Z, tau)
+        beta = _solve_one(y, Z, tau)
         b_lp = lp_oracle_quantile(y, Z, tau)
         taus = np.full(n, tau)
         gap = _ploss(y - Z @ beta, taus) - _ploss(y - Z @ b_lp, taus)
@@ -46,7 +52,7 @@ def test_per_observation_levels():
     rng = np.random.default_rng(3)
     Z, y = _instance(rng, 60, 3)
     taus = rng.uniform(0.1, 0.9, size=60)
-    beta = quantile_regress(y, Z, taus)
+    beta = _solve_one(y, Z, taus)
     b_lp = lp_oracle_quantile(y, Z, taus)
     assert _ploss(y - Z @ beta, taus) <= _ploss(y - Z @ b_lp, taus) + 1e-9
 
@@ -72,7 +78,7 @@ def _degenerate_design(draw):
 def test_ipm_matches_lp_oracle_on_degenerate_designs(case):
     Z, y, tau = case
     assume(np.linalg.matrix_rank(Z) == Z.shape[1])
-    beta = quantile_regress(y, Z, tau)
+    beta = _solve_one(y, Z, tau)
     b_lp = lp_oracle_quantile(y, Z, tau)
     taus = np.full(y.size, tau)
     slack = 1e-9 * (1.0 + np.abs(y).sum())
@@ -98,7 +104,7 @@ def test_ploss_and_max_step_match_scalar_loops():
 def test_median_regression_on_odd_sample_interpolates():
     # scalar median of an odd sample is an order statistic
     y = np.array([3.0, -1.0, 7.0, 2.0, 5.0])
-    beta = quantile_regress(y, np.ones((5, 1)), 0.5)
+    beta = _solve_one(y, np.ones((5, 1)), 0.5)
     assert beta[0] == pytest.approx(3.0, abs=1e-9)
 
 
@@ -111,60 +117,60 @@ def test_weighted_oracle_tilts_solution():
     assert b[0] == pytest.approx(10.0, abs=1e-9)
 
 
+def test_lp_oracle_validation():
+    with pytest.raises(ValueError, match="1-D"):
+        lp_oracle_quantile(np.ones((2, 1)), np.ones((2, 1)), 0.5)
+    with pytest.raises(ValueError, match="2-D"):
+        lp_oracle_quantile(np.ones(2), np.ones(2), 0.5)
+    with pytest.raises(ValueError, match="3 rows but response has 2"):
+        lp_oracle_quantile(np.ones(2), np.ones((3, 1)), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        lp_oracle_quantile(np.array([1.0, np.nan]), np.ones((2, 1)), 0.5)
+    with pytest.raises(ValueError, match="inside"):
+        lp_oracle_quantile(np.ones(4), np.ones((4, 1)), 1.2)
+    with pytest.raises(ValueError, match="4 levels"):
+        lp_oracle_quantile(np.ones(4), np.ones((4, 1)), np.full(3, 0.5))
+    with pytest.raises(ValueError, match="4 weights"):
+        lp_oracle_quantile(np.ones(4), np.ones((4, 1)), 0.5, weights=np.ones(3))
+    with pytest.raises(ValueError, match="positive"):
+        lp_oracle_quantile(np.ones(4), np.ones((4, 1)), 0.5, weights=np.zeros(4))
+
+
 def test_qreg_solve_never_worse_than_previous_iterate():
     # the sweep floor: handing in any candidate must not give a worse objective
     rng = np.random.default_rng(12)
     Z, y = _instance(rng, 40, 3)
-    taus = np.full(40, 0.3)
-    b_opt, obj_opt, _ = _qreg_solve(Z, y, taus, np.zeros(3), 1e-10, 60)
+    Y, taus = y[None], np.full(40, 0.3)
+    b_opt, obj_opt, _ = _qreg_solve(Z, Y, taus, np.zeros((1, 3)), 1e-10, 60)
     for _ in range(5):
-        prev = rng.standard_normal(3) * 10
-        _, obj, _ = _qreg_solve(Z, y, taus, prev, 1e-10, 60)
-        assert obj <= _ploss(y - Z @ prev, taus) + 1e-12
-        assert obj <= obj_opt + 1e-9  # and the solver still finds the optimum
+        prev = rng.standard_normal((1, 3)) * 10
+        _, obj, _ = _qreg_solve(Z, Y, taus, prev, 1e-10, 60)
+        assert obj[0] <= _ploss(y - Z @ prev[0], taus) + 1e-12
+        assert obj[0] <= obj_opt[0] + 1e-9  # and the solver still finds the optimum
     # a previous iterate that is already optimal is kept
-    _, obj_again, _ = _qreg_solve(Z, y, taus, b_opt, 1e-10, 60)
-    assert obj_again <= obj_opt + 1e-12
-
-
-def test_quantile_regress_validation():
-    with pytest.raises(ValueError, match="observations"):
-        quantile_regress(np.ones(2), np.ones((2, 3)), 0.5)
-    with pytest.raises(ValueError, match="rank deficient"):
-        quantile_regress(np.ones(4), np.ones((4, 2)), 0.5)
-    with pytest.raises(ValueError, match="inside"):
-        quantile_regress(np.ones(4), np.ones((4, 1)), 1.2)
-    with pytest.raises(ValueError, match="finite"):
-        quantile_regress(np.array([1.0, np.nan]), np.ones((2, 1)), 0.5)
+    _, obj_again, _ = _qreg_solve(Z, Y, taus, b_opt, 1e-10, 60)
+    assert obj_again[0] <= obj_opt[0] + 1e-12
 
 
 def _composite_instance(seed, K=3, N=15, r=2):
     rng = np.random.default_rng(seed)
-    grid = QuantileGrid((0.25, 0.5, 0.75), weights=(1.0, 2.0, 1.0))
+    taus, wts = np.array([0.25, 0.5, 0.75]), np.array([1.0, 2.0, 1.0])
     lam = rng.standard_normal((K, N, r))
     x = rng.standard_normal(N)
-    # the stacked weighted problem the step must solve
-    taus = np.repeat(grid.levels_array(), N)
-    wts = np.repeat(grid.weights_array(), N)
-    Zs = (lam * grid.weights_array()[:, None, None]).reshape(K * N, r)
-    ys = wts * np.tile(x, K)
-    return grid, lam, x, Zs, ys, taus
+    # the stacked weighted problem the sweep must solve
+    tau_s = np.repeat(taus, N)
+    Zs = (lam * wts[:, None, None]).reshape(K * N, r)
+    ys = np.repeat(wts, N) * np.tile(x, K)
+    return taus, wts, lam, x, Zs, ys, tau_s
 
 
-def test_composite_factor_step_matches_stacked_oracle():
+def test_factor_sweep_matches_stacked_oracle():
     for seed in (0, 1, 2):
-        grid, lam, x, Zs, ys, taus = _composite_instance(seed)
-        f = composite_factor_step(x, lam, grid)
-        f_lp = lp_oracle_quantile(ys, Zs, taus)
-        assert _ploss(ys - Zs @ f, taus) <= _ploss(ys - Zs @ f_lp, taus) + 1e-9
-
-
-def test_composite_factor_step_validation():
-    grid = QuantileGrid((0.5,))
-    with pytest.raises(ValueError, match="cross-section"):
-        composite_factor_step(np.ones(3), np.ones((1, 4, 2)), grid)
-    with pytest.raises(ValueError, match="levels"):
-        composite_factor_step(np.ones(4), np.ones((2, 4, 2)), grid)
+        taus, wts, lam, x, Zs, ys, tau_s = _composite_instance(seed)
+        F, misses = _factor_sweep(x[None], lam, taus, wts, np.zeros((1, 2)), 1e-10, 60)
+        f_lp = lp_oracle_quantile(ys, Zs, tau_s)
+        assert misses == 0
+        assert _ploss(ys - Zs @ F[0], tau_s) <= _ploss(ys - Zs @ f_lp, tau_s) + 1e-9
 
 
 # -- the batched layer ---------------------------------------------------------
@@ -206,7 +212,7 @@ def test_rows_at_their_gap_target_take_no_step():
     assert not np.any(np.all(beta[1:] == start[1:], axis=1))
     # each noisy row reaches the optimum it reaches alone
     for k in range(1, 4):
-        alone, _, _ = _qreg_solve(Z, Y[k], np.full(20, taus[k, 0]), np.zeros(3), 1e-10, 60)
+        alone = _solve_one(Y[k], Z, taus[k, 0])
         solo = _ploss(Y[k] - Z @ alone, taus[k])
         assert _ploss(Y[k] - Z @ beta[k], taus[k]) <= solo + 1e-8 * (1.0 + np.abs(Y[k]).sum())
 
@@ -227,8 +233,8 @@ def test_polish_survives_a_singular_interpolation_system():
         assert obj[k] == pytest.approx(obj_alone[0], rel=1e-12)
     beta, obj, ok = _qreg_solve(Z, Y, taus, beta0, 1e-10, 60)
     for k in range(2):
-        _, o1, ok1 = _qreg_solve(Z, Y[k], taus, beta0[k], 1e-10, 60)
-        assert obj[k] == pytest.approx(o1, rel=1e-12) and ok[k] == ok1
+        _, o1, ok1 = _qreg_solve(Z, Y[k:k + 1], taus, beta0[k:k + 1], 1e-10, 60)
+        assert obj[k] == pytest.approx(o1[0], rel=1e-12) and ok[k] == ok1[0]
 
 
 def test_every_row_is_floored_at_its_previous_iterate():
@@ -246,3 +252,52 @@ def test_every_row_is_floored_at_its_previous_iterate():
         np.testing.assert_allclose(obj, _ploss(Y - beta @ Z.T, taus), rtol=1e-13)
         assert np.all(obj <= obj_prev)
     assert np.all(obj <= obj_opt + 1e-9)
+
+
+def _int_array(draw, bound, shape):
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+    return np.array(values, float).reshape(shape)
+
+
+@st.composite
+def _degenerate_panel(draw):
+    """Small integer panel, loadings and factors with ties, unequal level weights."""
+    r = draw(st.integers(1, 2))
+    T, N = draw(st.integers(r, 5)), draw(st.integers(r, 4))
+    X = _int_array(draw, 2, (T, N))
+    lam, F = _int_array(draw, 3, (3, N, r)), _int_array(draw, 3, (T, r))
+    taus = np.array(draw(st.sampled_from([(0.25, 0.5, 0.75), (0.01, 0.5, 0.99)])))
+    wts = np.array(draw(st.sampled_from([(0.5, 2.0, 1.25), (3.0, 0.25, 1.0)])))
+    return X, lam, F, taus, wts
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_degenerate_panel())
+def test_weighted_composite_rows_match_lp_oracle(case):
+    # the oracle sees the unscaled design plus weights, so this also checks
+    # the sweep's row scaling rho_tau(w e) = w rho_tau(e)
+    X, lam, F, taus, wts = case
+    (T, N), (K, _, r) = X.shape, lam.shape
+    assume(np.linalg.matrix_rank(lam.reshape(K * N, r)) == r)
+    assume(np.linalg.matrix_rank(F) == r)
+    Zs, tau_s, w_s = lam.reshape(K * N, r), np.repeat(taus, N), np.repeat(wts, N)
+
+    def wloss(y, f):
+        e = y - Zs @ f
+        return np.sum(w_s * np.maximum(tau_s * e, (tau_s - 1.0) * e))
+
+    F_new, _ = _factor_sweep(X, lam, taus, wts, np.zeros((T, r)), 1e-10, 60)
+    for x_t, f in zip(X, F_new):
+        y = np.tile(x_t, K)
+        f_lp = lp_oracle_quantile(y, Zs, tau_s, weights=w_s)
+        assert wloss(y, f) <= wloss(y, f_lp) + 1e-9 * (1.0 + np.sum(w_s * np.abs(y)))
+    lam_new, _ = _loading_sweep(X.T, F, taus, np.zeros((K, N, r)), 1e-10, 60)
+    for k in range(K):
+        level = np.full(T, taus[k])
+        for i in range(N):
+            y = X[:, i]
+            slack = 1e-9 * (1.0 + np.abs(y).sum())
+            oracle = _ploss(y - F @ lp_oracle_quantile(y, F, taus[k]), level)
+            assert _ploss(y - F @ lam_new[k, i], level) <= oracle + slack
