@@ -1,10 +1,13 @@
 """Command-line interface for simulation, fitting, and experiment runs.
 
-Every command resolves its options as flags > config file > defaults, writes
-its outputs plus a ``manifest`` (the resolved configuration, library
-versions, and wall time) into the output directory, and can be re-run
-bit-identically from that manifest via ``--config``.  Exit codes: 0 on
-success, 2 for usage or configuration errors, 3 for numerical failures.
+Each command is declared once, in the ``_COMMANDS`` table: its runner, its
+help line, and its options as (name, parser, default) in manifest order;
+``build_parser`` and ``main`` read that table.  Every command resolves its
+options as flags > config file > defaults, writes its outputs plus a
+``manifest`` (the resolved configuration, library versions, and wall time)
+into the output directory, and can be re-run bit-identically from that
+manifest via ``--config``.  Exit codes: 0 on success, 2 for usage or
+configuration errors (an unusable path included), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -36,125 +39,52 @@ from .simgen import (
 from .smooth import _check_index, factor_ci, fit_smoothed_dafm, loading_ci
 
 
-class ConfigError(Exception):
-    """Invalid option value or combination; exits with code 2."""
+class ConfigError(ValueError):
+    """Invalid option value or combination; exits with code 2, as any ValueError."""
 
 
 # --------------------------------------------------------------------------
-# option schema and resolution
+# options and their resolution
 
 _REQUIRED = object()
 
 
-def _positive_int(name):
+def _above(kind, floor, rule):
+    """Parser for a ``kind`` value above ``floor``; ``_resolve`` prefixes
+    the flag name to its range error."""
+
     def parse(s):
-        v = int(s)
-        if v < 1:
-            raise ConfigError(f"--{name} must be a positive integer, got {s}")
+        v = kind(s)
+        if v <= floor:
+            raise ConfigError(f"must be {rule}, got {s}")
         return v
 
     return parse
 
 
-def _nonneg_int(name):
-    def parse(s):
-        v = int(s)
-        if v < 0:
-            raise ConfigError(f"--{name} must be >= 0, got {s}")
-        return v
-
-    return parse
-
-
-def _positive_float(name):
-    def parse(s):
-        v = float(s)
-        if v <= 0:
-            raise ConfigError(f"--{name} must be positive, got {s}")
-        return v
-
-    return parse
+_POS_INT = _above(int, 0, "a positive integer")
+_NONNEG_INT = _above(int, -1, ">= 0")
+_POS_FLOAT = _above(float, 0, "positive")
 
 
 def _levels(s):
     vals = parse_floats(s)
     if not vals:
-        raise ConfigError("--levels must list at least one level")
+        raise ConfigError("must list at least one level")
     return vals
 
 
-_FIT_OPTS = [
-    ("tol", _positive_float("tol"), 1e-6),
-    ("max-outer", _positive_int("max-outer"), 100),
-    ("init", str, "pca"),
-    ("seed", int, 0),
-]
+_COMMON = [("out", str, None), ("config", str, None)]
+_GRID = [("levels", _levels, (0.1, 0.3, 0.5, 0.7, 0.9)), ("weights", str, "uniform")]
+_FIT = [("tol", _POS_FLOAT, 1e-6), ("max-outer", _POS_INT, 100), ("init", str, "pca"),
+        ("seed", int, 0)]
 
 
-def _schema(command):
-    common = [("out", str, None), ("config", str, None)]
-    grids = [("levels", _levels, (0.1, 0.3, 0.5, 0.7, 0.9)), ("weights", str, "uniform")]
-    if command == "simulate":
-        return common + [
-            ("dgp", str, _REQUIRED),
-            ("dist", str, "gaussian"),
-            ("n", _positive_int("n"), _REQUIRED),
-            ("t", _positive_int("t"), _REQUIRED),
-            ("seed", int, 0),
-        ]
-    if command == "fit":
-        return common + grids + [("panel", str, _REQUIRED), ("r", _positive_int("r"), _REQUIRED),
-                                 ("k-star", _positive_int("k-star"), None)] + _FIT_OPTS
-    if command == "fit-qfm":
-        return common + [("panel", str, _REQUIRED), ("tau", float, 0.5),
-                         ("r", _positive_int("r"), _REQUIRED)] + _FIT_OPTS
-    if command == "rank":
-        return common + grids + [
-            ("panel", str, _REQUIRED),
-            ("method", str, "eigen"),
-            ("smax", _positive_int("smax"), None),
-            ("penalty", _positive_float("penalty"), None),
-            ("thresholds", str, "auto"),
-        ] + _FIT_OPTS
-    if command == "infer":
-        return common + grids + [
-            ("panel", str, _REQUIRED),
-            ("r", _positive_int("r"), _REQUIRED),
-            ("t", _positive_int("t"), None),
-            ("loading", str, None),
-            ("level", _positive_float("level"), 0.95),
-            ("kernel-order", _positive_int("kernel-order"), 8),
-            ("bandwidth", _positive_float("bandwidth"), None),
-        ] + _FIT_OPTS
-    if command == "forecast":
-        return common + grids + [
-            ("panel", str, _REQUIRED),
-            ("target", str, _REQUIRED),
-            ("horizon", _positive_int("horizon"), 1),
-            ("window", _positive_int("window"), 120),
-            ("max-lag", _nonneg_int("max-lag"), 4),
-            ("method", str, "ar+dafm"),
-            ("r", _positive_int("r"), None),
-        ] + _FIT_OPTS
-    if command == "eval-sim":
-        return common + grids + [
-            ("table", _positive_int("table"), None),
-            ("dgp", str, None),
-            ("dist", str, "gaussian"),
-            ("sizes", str, "50x50"),
-            ("reps", _positive_int("reps"), 10),
-            ("methods", str, "dafm"),
-            ("r", _positive_int("r"), None),
-            ("seed", int, 0),
-        ]
-    raise AssertionError(command)
-
-
-def _resolve(args, command):
+def _resolve(args, options):
     """Merge flags > config file > defaults into one plain dict.
 
     Each option's raw string comes from its flag, else the config file (an
-    empty value there means unset), and goes through the schema's parser.
+    empty value there means unset), and goes through the option's parser.
     """
     config = {}
     if args.config is not None:
@@ -162,7 +92,7 @@ def _resolve(args, command):
             raise ConfigError(f"config file not found: {args.config}")
         config = read_kv(args.config)
     resolved = {}
-    for name, parse, default in _schema(command):
+    for name, parse, default in options:
         if name == "config":
             continue
         flag = getattr(args, name.replace("-", "_"))
@@ -174,6 +104,8 @@ def _resolve(args, command):
             continue
         try:
             resolved[name] = parse(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"--{name} {exc}") from None
         except ValueError:
             raise ConfigError(
                 f"invalid value for --{name}: {raw!r}" if flag is not None
@@ -208,11 +140,12 @@ def _build_grid(levels, weights_spec):
     if spec in ("uniform", "low2x", "med2x", "high2x"):
         return weight_scheme(grid, spec)
     try:
-        return grid.with_weights(parse_floats(spec))
+        weights = parse_floats(spec)
     except ValueError:
         raise ConfigError(
             f"--weights must be a scheme name, 'density:<dist>', or numbers; got {spec!r}"
         ) from None
+    return grid.with_weights(weights)
 
 
 def _fit_config(cfg, r, k_star=None):
@@ -232,13 +165,6 @@ def _load_panel_arg(path):
     return load_panel(path)
 
 
-def _parse_dist_arg(spec):
-    try:
-        return parse_dist(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 _DGPS = {
     "location-shift": gen_location_shift,
     "location-scale": gen_location_scale_shift,
@@ -246,19 +172,21 @@ _DGPS = {
 }
 
 
+def _generator(dgp):
+    if dgp not in _DGPS:
+        raise ConfigError(f"--dgp must be one of {sorted(_DGPS)}, got {dgp!r}")
+    return _DGPS[dgp]
+
+
 # --------------------------------------------------------------------------
 # commands
 
 
 def cmd_simulate(cfg):
-    if cfg["dgp"] not in _DGPS:
-        raise ConfigError(
-            f"--dgp must be one of {sorted(set(_DGPS))}, got {cfg['dgp']!r}"
-        )
-    dist = _parse_dist_arg(cfg["dist"])
+    gen = _generator(cfg["dgp"])
+    dist = parse_dist(cfg["dist"])
     outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-    panel, truth = _DGPS[cfg["dgp"]](cfg["n"], cfg["t"], dist, cfg["seed"])
+    panel, truth = gen(cfg["n"], cfg["t"], dist, cfg["seed"])
     save_panel(panel, os.path.join(outdir, "panel.csv"))
     truth_dir = os.path.join(outdir, "truth")
     os.makedirs(truth_dir, exist_ok=True)
@@ -288,7 +216,7 @@ def cmd_fit(cfg):
 def cmd_fit_qfm(cfg):
     panel = _load_panel_arg(cfg["panel"])
     fc = _fit_config(cfg, cfg["r"])
-    fit = fit_qfm(panel, cfg["tau"], cfg=fc)
+    fit = fit_qfm(panel, cfg["tau"], fc)
     outdir = cfg["out"]
     save_fit(fit, os.path.join(outdir, "fit"))
     print(
@@ -301,9 +229,7 @@ def cmd_rank(cfg):
     panel = _load_panel_arg(cfg["panel"])
     grid = _build_grid(cfg["levels"], cfg["weights"])
     fc = _fit_config(cfg, 1)
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "rank.csv")
+    path = os.path.join(cfg["out"], "rank.csv")
     if cfg["method"] == "ic":
         sel = select_rank_ic(panel, grid, s_max=cfg["smax"], penalty=cfg["penalty"], cfg=fc)
         write_table(path, ["l", "criterion"], enumerate(sel.criteria, start=1))
@@ -319,7 +245,6 @@ def cmd_rank(cfg):
     else:
         raise ConfigError(f"--method must be ic or eigen, got {cfg['method']!r}")
     print(f"wrote {path}: method={sel.method} r_hat={sel.r_hat}")
-    return {"r_hat": sel.r_hat}
 
 
 def cmd_infer(cfg):
@@ -352,9 +277,7 @@ def cmd_infer(cfg):
         ci = factor_ci(fit, panel, scfg, cfg["t"], level=cfg["level"])
     else:
         ci = loading_ci(fit, panel, scfg, k, i, level=cfg["level"])
-    outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "ci.csv")
+    path = os.path.join(cfg["out"], "ci.csv")
     level = "%g" % ci.level
     write_table(path, ["index", "estimate", "lower", "upper", "level"], [
         (j, est, lo, hi, level)
@@ -394,7 +317,6 @@ def cmd_forecast(cfg):
         fc = _fit_config(cfg, cfg["r"])
     forecasts, actuals = rolling_forecast(panel, y, task, grid=grid, cfg=fc)
     outdir = cfg["out"]
-    os.makedirs(outdir, exist_ok=True)
     W = task.window
     path = os.path.join(outdir, "forecasts.csv")
     write_table(path, ["origin", "horizon", "forecast", "actual"], [
@@ -458,7 +380,7 @@ def _eval_one_rep(gen, dist, N, T, seed, methods, grid, r_over):
         if name == "dafm":
             F_hat = fit_dafm(panel, grid, FitConfig(r=r, seed=0)).F
         elif name == "qfm":
-            F_hat = fit_qfm(panel, float(arg), r=r).F
+            F_hat = fit_qfm(panel, float(arg), FitConfig(r=r)).F
         else:
             F_hat, _ = mean_pca(panel, r)
         r2 = [adjusted_r2(truth.F0[:, j], F_hat) for j in range(truth.F0.shape[1])]
@@ -479,10 +401,8 @@ def cmd_eval_sim(cfg):
         dgp = "location-shift" if cfg["table"] == 1 else "location-scale-shift"
     else:
         raise ConfigError("pass --table 1|2 or --dgp")
-    if dgp not in _DGPS:
-        raise ConfigError(f"--dgp must be one of {sorted(set(_DGPS))}, got {dgp!r}")
-    gen = _DGPS[dgp]
-    dist = _parse_dist_arg(cfg["dist"])
+    gen = _generator(dgp)
+    dist = parse_dist(cfg["dist"])
     sizes = _parse_sizes(cfg["sizes"])
     methods = _eval_methods(cfg["methods"])
     grid = _build_grid(cfg["levels"], cfg["weights"])
@@ -510,36 +430,37 @@ def cmd_eval_sim(cfg):
 
 
 # --------------------------------------------------------------------------
-# argument parsing
-
-
-def _add_options(sub, command):
-    for name, _, _default in _schema(command):
-        if name == "config":
-            sub.add_argument("--config", help="key=value file supplying defaults")
-        else:
-            sub.add_argument("--" + name, default=None)
-    return sub
-
+# the command table and argument parsing
 
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "fit-qfm": cmd_fit_qfm,
-    "rank": cmd_rank,
-    "infer": cmd_infer,
-    "forecast": cmd_forecast,
-    "eval-sim": cmd_eval_sim,
-}
-
-_HELP = {
-    "simulate": "generate a synthetic panel plus its ground truth",
-    "fit": "estimate a composite-quantile factor model",
-    "fit-qfm": "estimate a single-level quantile factor model",
-    "rank": "select the number of factors",
-    "infer": "smoothed fit and plug-in confidence intervals",
-    "forecast": "rolling factor-augmented AR forecasts",
-    "eval-sim": "replicated simulation study with per-factor adjusted R²",
+    "simulate": (cmd_simulate, "generate a synthetic panel plus its ground truth", _COMMON + [
+        ("dgp", str, _REQUIRED), ("dist", str, "gaussian"), ("n", _POS_INT, _REQUIRED),
+        ("t", _POS_INT, _REQUIRED), ("seed", int, 0)]),
+    "fit": (cmd_fit, "estimate a composite-quantile factor model", _COMMON + _GRID + [
+        ("panel", str, _REQUIRED), ("r", _POS_INT, _REQUIRED), ("k-star", _POS_INT, None),
+    ] + _FIT),
+    "fit-qfm": (cmd_fit_qfm, "estimate a single-level quantile factor model", _COMMON + [
+        ("panel", str, _REQUIRED), ("tau", float, 0.5), ("r", _POS_INT, _REQUIRED),
+    ] + _FIT),
+    "rank": (cmd_rank, "select the number of factors", _COMMON + _GRID + [
+        ("panel", str, _REQUIRED), ("method", str, "eigen"), ("smax", _POS_INT, None),
+        ("penalty", _POS_FLOAT, None), ("thresholds", str, "auto"),
+    ] + _FIT),
+    "infer": (cmd_infer, "smoothed fit and plug-in confidence intervals", _COMMON + _GRID + [
+        ("panel", str, _REQUIRED), ("r", _POS_INT, _REQUIRED), ("t", _POS_INT, None),
+        ("loading", str, None), ("level", _POS_FLOAT, 0.95), ("kernel-order", _POS_INT, 8),
+        ("bandwidth", _POS_FLOAT, None),
+    ] + _FIT),
+    "forecast": (cmd_forecast, "rolling factor-augmented AR forecasts", _COMMON + _GRID + [
+        ("panel", str, _REQUIRED), ("target", str, _REQUIRED), ("horizon", _POS_INT, 1),
+        ("window", _POS_INT, 120), ("max-lag", _NONNEG_INT, 4), ("method", str, "ar+dafm"),
+        ("r", _POS_INT, None),
+    ] + _FIT),
+    "eval-sim": (cmd_eval_sim, "replicated simulation study with per-factor adjusted R²",
+                 _COMMON + _GRID + [
+                     ("table", _POS_INT, None), ("dgp", str, None), ("dist", str, "gaussian"),
+                     ("sizes", str, "50x50"), ("reps", _POS_INT, 10), ("methods", str, "dafm"),
+                     ("r", _POS_INT, None), ("seed", int, 0)]),
 }
 
 
@@ -549,8 +470,12 @@ def build_parser():
         description="Composite-quantile factor models for high-dimensional panels.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        _add_options(subs.add_parser(command, help=_HELP[command]), command)
+    for command, (_, help_text, options) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for name, _, _ in options:
+            sub.add_argument(
+                "--" + name, help="key=value file supplying defaults" if name == "config" else None
+            )
     return parser
 
 
@@ -558,20 +483,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     command = args.command
+    runner, _, options = _COMMANDS[command]
     t0 = time.perf_counter()
     try:
-        cfg = _resolve(args, command)
+        cfg = _resolve(args, options)
         os.makedirs(cfg["out"], exist_ok=True)
-        _COMMANDS[command](cfg)
+        runner(cfg)
         _write_manifest(cfg["out"], command, cfg, t0)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         # LinAlgError is a ValueError, so it is caught before the usage errors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: a path the CLI cannot use, such as a directory given as --panel
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

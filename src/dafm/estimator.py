@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,18 +284,8 @@ def fit_dafm(panel, grid, cfg):
     return _finish(grid, k_star, *_alternate(X, F0, grid, cfg))
 
 
-def fit_qfm(panel, tau, r=None, cfg=None):
-    """Single-level quantile factor model: the K=1 special case.
-
-    Provide either ``r`` or a full ``cfg`` (whose ``r`` is used; an explicit
-    ``r`` argument overrides it).
-    """
-    if cfg is None:
-        if r is None:
-            raise ValueError("provide r or a FitConfig")
-        cfg = FitConfig(r=r)
-    elif r is not None and r != cfg.r:
-        cfg = replace(cfg, r=r)
+def fit_qfm(panel, tau, cfg):
+    """Single-level quantile factor model: ``fit_dafm`` on the one level ``tau``."""
     if cfg.k_star not in (None, 1):
         raise ValueError(f"a single-level fit has k_star=1, got {cfg.k_star}")
     grid = QuantileGrid((float(tau),))

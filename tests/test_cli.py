@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +101,77 @@ def test_config_errors_exit_2(sim_dir, tmp_path):
     res = run_cli("fit-qfm", "--panel", sim_dir / "panel.csv", "--r", 1, "--tau", 1.5,
                   "--out", tmp_path)
     assert res.returncode == 2 and "levels must lie strictly inside (0, 1)" in res.stderr
+
+
+def test_unusable_paths_exit_2(sim_dir, tmp_path, capsys):
+    # a path that exists but is the wrong kind is a usage error, not a traceback
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    fit = ["fit", "--r", "1", "--levels", "0.5"]
+    for argv, message in [
+        (fit + ["--panel", str(sim_dir / "panel.csv"), "--out", str(a_file / "x")],
+         "Not a directory"),
+        (fit + ["--panel", str(tmp_path), "--out", str(tmp_path / "o")], "Is a directory"),
+        (["fit", "--config", str(tmp_path), "--out", str(tmp_path / "o")], "Is a directory"),
+    ]:
+        assert dafm.cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+    for argv, message in [
+        (fit + ["--panel", str(tmp_path / "missing.csv")], "panel file not found"),
+        (["fit", "--config", str(tmp_path / "missing")], "config file not found"),
+    ]:
+        assert dafm.cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}: ")
+
+
+@pytest.mark.parametrize("weights, message", [
+    ("1,2", "weights length 2 != levels length 3"),
+    ("1,0,1", "weights must be positive: (1.0, 0.0, 1.0)"),
+    ("1,a,1", "--weights must be a scheme name, 'density:<dist>', or numbers; got '1,a,1'"),
+])
+def test_weights_errors_say_what_is_wrong(sim_dir, tmp_path, capsys, weights, message):
+    argv = ["fit", "--panel", str(sim_dir / "panel.csv"), "--r", "1",
+            "--levels", "0.25,0.5,0.75", "--weights", weights, "--out", str(tmp_path)]
+    assert dafm.cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--dgp", "location-shift", "--dist", "t:5", "--n", "12", "--t", "30",
+                  "--seed", "4"]),
+    ("fit", ["--panel", "p.csv", "--r", "2", "--levels", "0.25,0.5,0.75", "--weights",
+             "low2x", "--k-star", "2", "--tol", "1e-5", "--max-outer", "7", "--init",
+             "random-orthonormal", "--seed", "3"]),
+    ("fit-qfm", ["--panel", "p.csv", "--tau", "0.3", "--r", "1", "--tol", "2.5e-7"]),
+    ("rank", ["--panel", "p.csv", "--method", "ic", "--smax", "4", "--penalty", "0.75",
+              "--thresholds", "0.1,0.2", "--levels", "0.5"]),
+    ("infer", ["--panel", "p.csv", "--r", "2", "--loading", "1,3", "--level", "0.9",
+               "--kernel-order", "4", "--bandwidth", "0.35"]),
+    ("forecast", ["--panel", "p.csv", "--target", "2", "--horizon", "2", "--window", "30",
+                  "--max-lag", "0", "--method", "ar"]),
+    ("eval-sim", ["--table", "2", "--sizes", "10x20,20x20", "--reps", "3", "--methods",
+                  "dafm,qfm:0.5", "--r", "1", "--levels", "0.2,0.5,0.8", "--weights",
+                  "1,2,1", "--seed", "5"]),
+])
+def test_every_manifest_reruns_to_the_same_options(tmp_path, monkeypatch, command, flags):
+    # the runner is replaced by a recorder: this checks option resolution only
+    seen = []
+    _, help_text, options = dafm.cli._COMMANDS[command]
+    monkeypatch.setitem(dafm.cli._COMMANDS, command, (seen.append, help_text, options))
+    out = str(tmp_path / "out")
+    assert dafm.cli.main([command, *flags, "--out", out]) == 0
+    assert dafm.cli.main([command, "--config", os.path.join(out, "manifest")]) == 0
+    first, again = seen
+    assert list(first) == [name for name, _, _ in options if name != "config"]
+    assert again == first
+
+
+def test_readme_command_table_matches_the_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = re.findall(r"^\| `([^`]+)` +\|", section, flags=re.M)
+    assert commands == list(dafm.cli._COMMANDS)
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -131,15 +131,13 @@ def test_k_star_override_and_validation():
 
 def test_qfm_is_the_single_level_special_case():
     p = _panel(4)
-    a = fit_qfm(p, 0.5, r=2)
+    a = fit_qfm(p, 0.5, FitConfig(r=2))
     b = fit_dafm(p, QuantileGrid((0.5,)), FitConfig(r=2))
     assert np.array_equal(a.F, b.F)
     assert np.array_equal(a.loadings, b.loadings)
     assert np.array_equal(np.array(a.objective_trace), np.array(b.objective_trace))
     with pytest.raises(ValueError, match="k_star"):
-        fit_qfm(p, 0.5, cfg=FitConfig(r=2, k_star=2))
-    with pytest.raises(ValueError, match="provide r"):
-        fit_qfm(p, 0.5)
+        fit_qfm(p, 0.5, FitConfig(r=2, k_star=2))
 
 
 def test_objective_property_matches_recomputation():
@@ -167,7 +165,7 @@ def test_noiseless_panel_recovers_quantile_surface():
     F = rng.standard_normal((36, 2))
     L = rng.standard_normal((18, 2))
     p = Panel(F @ L.T)
-    fit = fit_qfm(p, 0.5, r=2)
+    fit = fit_qfm(p, 0.5, FitConfig(r=2))
     np.testing.assert_allclose(fit.common_component(1), p.values, atol=1e-7)
 
 
