@@ -40,7 +40,6 @@ from .simgen import (
     gen_location_scale_shift,
     gen_location_shift,
     parse_dist,
-    sample_error,
     weight_scheme,
 )
 from .evalmetrics import adjusted_r2, relative_mse
@@ -84,7 +83,6 @@ __all__ = [
     "gen_location_scale_shift",
     "gen_location_shift",
     "parse_dist",
-    "sample_error",
     "weight_scheme",
     "adjusted_r2",
     "relative_mse",

@@ -13,6 +13,7 @@ configuration errors (an unusable path included), 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -29,13 +30,7 @@ from .kernels import SmoothConfig, build_kernel
 from .panel import load_panel, save_panel
 from .ranksel import select_rank_eigen, select_rank_ic
 from .serialize import parse_floats, read_kv, save_fit, write_kv, write_matrix, write_table
-from .simgen import (
-    density_weights,
-    gen_location_scale_shift,
-    gen_location_shift,
-    parse_dist,
-    weight_scheme,
-)
+from .simgen import DGPS, density_weights, parse_dist, weight_scheme
 from .smooth import _check_index, factor_ci, fit_smoothed_dafm, loading_ci
 
 
@@ -50,12 +45,12 @@ _REQUIRED = object()
 
 
 def _above(kind, floor, rule):
-    """Parser for a ``kind`` value above ``floor``; ``_resolve`` prefixes
-    the flag name to its range error."""
+    """Parser for a finite ``kind`` value above ``floor``; ``_resolve``
+    prefixes the flag name to its range error."""
 
     def parse(s):
         v = kind(s)
-        if v <= floor:
+        if not (v > floor and math.isfinite(v)):
             raise ConfigError(f"must be {rule}, got {s}")
         return v
 
@@ -64,7 +59,13 @@ def _above(kind, floor, rule):
 
 _POS_INT = _above(int, 0, "a positive integer")
 _NONNEG_INT = _above(int, -1, ">= 0")
-_POS_FLOAT = _above(float, 0, "positive")
+_POS_FLOAT = _above(float, 0, "finite and positive")
+
+
+def _dgp(name):
+    if name not in DGPS:
+        raise ConfigError(f"must be one of {sorted(DGPS)}, got {name!r}")
+    return name
 
 
 def _levels(s):
@@ -85,15 +86,17 @@ def _resolve(args, options):
 
     Each option's raw string comes from its flag, else the config file (an
     empty value there means unset), and goes through the option's parser.
+    ``out`` alone never comes from the config file: a re-run from a manifest
+    must not write into the run that wrote it.
     """
     config = {}
     if args.config is not None:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         config = read_kv(args.config)
-    resolved = {}
+    resolved = {"out": args.out if args.out is not None else os.environ.get("DAFM_OUT_DIR", ".")}
     for name, parse, default in options:
-        if name == "config":
+        if name in ("out", "config"):
             continue
         flag = getattr(args, name.replace("-", "_"))
         raw = flag if flag is not None else (config.get(name) or None)
@@ -111,8 +114,6 @@ def _resolve(args, options):
                 f"invalid value for --{name}: {raw!r}" if flag is not None
                 else f"config key {name}={raw!r} is invalid"
             ) from None
-    if resolved.get("out") is None:
-        resolved["out"] = os.environ.get("DAFM_OUT_DIR", ".")
     return resolved
 
 
@@ -165,28 +166,14 @@ def _load_panel_arg(path):
     return load_panel(path)
 
 
-_DGPS = {
-    "location-shift": gen_location_shift,
-    "location-scale": gen_location_scale_shift,
-    "location-scale-shift": gen_location_scale_shift,
-}
-
-
-def _generator(dgp):
-    if dgp not in _DGPS:
-        raise ConfigError(f"--dgp must be one of {sorted(_DGPS)}, got {dgp!r}")
-    return _DGPS[dgp]
-
-
 # --------------------------------------------------------------------------
 # commands
 
 
 def cmd_simulate(cfg):
-    gen = _generator(cfg["dgp"])
     dist = parse_dist(cfg["dist"])
     outdir = cfg["out"]
-    panel, truth = gen(cfg["n"], cfg["t"], dist, cfg["seed"])
+    panel, truth = DGPS[cfg["dgp"]](cfg["n"], cfg["t"], dist, cfg["seed"])
     save_panel(panel, os.path.join(outdir, "panel.csv"))
     truth_dir = os.path.join(outdir, "truth")
     os.makedirs(truth_dir, exist_ok=True)
@@ -401,7 +388,7 @@ def cmd_eval_sim(cfg):
         dgp = "location-shift" if cfg["table"] == 1 else "location-scale-shift"
     else:
         raise ConfigError("pass --table 1|2 or --dgp")
-    gen = _generator(dgp)
+    gen = DGPS[dgp]
     dist = parse_dist(cfg["dist"])
     sizes = _parse_sizes(cfg["sizes"])
     methods = _eval_methods(cfg["methods"])
@@ -434,7 +421,7 @@ def cmd_eval_sim(cfg):
 
 _COMMANDS = {
     "simulate": (cmd_simulate, "generate a synthetic panel plus its ground truth", _COMMON + [
-        ("dgp", str, _REQUIRED), ("dist", str, "gaussian"), ("n", _POS_INT, _REQUIRED),
+        ("dgp", _dgp, _REQUIRED), ("dist", str, "gaussian"), ("n", _POS_INT, _REQUIRED),
         ("t", _POS_INT, _REQUIRED), ("seed", int, 0)]),
     "fit": (cmd_fit, "estimate a composite-quantile factor model", _COMMON + _GRID + [
         ("panel", str, _REQUIRED), ("r", _POS_INT, _REQUIRED), ("k-star", _POS_INT, None),
@@ -458,7 +445,7 @@ _COMMANDS = {
     ] + _FIT),
     "eval-sim": (cmd_eval_sim, "replicated simulation study with per-factor adjusted R²",
                  _COMMON + _GRID + [
-                     ("table", _POS_INT, None), ("dgp", str, None), ("dist", str, "gaussian"),
+                     ("table", _POS_INT, None), ("dgp", _dgp, None), ("dist", str, "gaussian"),
                      ("sizes", str, "50x50"), ("reps", _POS_INT, 10), ("methods", str, "dafm"),
                      ("r", _POS_INT, None), ("seed", int, 0)]),
 }

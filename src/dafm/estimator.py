@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericalError
 from .grids import QuantileGrid
 from .losses import _composite_objective_core
-from .panel import Panel
+from .panel import as_panel
 from .solvers import _factor_sweep, _loading_sweep
 
 __all__ = [
@@ -61,8 +61,8 @@ class FitConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"factor count must be >= 1, got {self.r}")
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.init not in ("pca", "random-orthonormal"):
@@ -145,7 +145,7 @@ def mean_pca(panel, r):
     by sqrt(T) (so F'F/T = I) and ``Lambda = X'F/T``.  Raises
     :class:`NumericalError` when the panel's numerical rank is below r.
     """
-    X = panel.values if isinstance(panel, Panel) else np.asarray(panel, dtype=np.float64)
+    X = as_panel(panel).values
     T, N = X.shape
     if T <= r or N <= r:
         raise ValueError(f"panel {T}x{N} too small for {r} factors")
@@ -168,7 +168,7 @@ def _initial_factors(X, r, init, seed):
         U, s, _ = np.linalg.svd((X - mu) / sd, full_matrices=False)
         F = math.sqrt(T) * U[:, :r]
         return np.ascontiguousarray(F * _column_signs(F))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((T, r)))
     return np.ascontiguousarray(math.sqrt(T) * Q * _column_signs(Q))
 
@@ -240,9 +240,7 @@ def _setup(panel, cfg, grid=None):
     """The start every fit shares: the panel as a contiguous T×N array with
     more periods and series than factors, and the 1-based normalization
     level ``k_star`` for ``grid`` (None without a grid)."""
-    if not isinstance(panel, Panel):
-        panel = Panel(np.asarray(panel, dtype=np.float64))
-    X = np.ascontiguousarray(panel.values)
+    X = np.ascontiguousarray(as_panel(panel).values)
     T, N = X.shape
     if T <= cfg.r:
         raise ValueError(f"need more than r={cfg.r} periods, got T={T}")

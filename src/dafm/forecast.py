@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericalError
 from .estimator import _alternate, _fit_raw, mean_pca
 from .grids import QuantileGrid
-from .panel import Panel
+from .panel import as_panel
 
 __all__ = ["ForecastTask", "select_lags_bic", "fit_factor_ar", "rolling_forecast"]
 
@@ -204,7 +204,7 @@ def rolling_forecast(panel, y, task, grid=None, cfg=None):
     if y is None:
         y = task.target
     y = np.asarray(y, dtype=float).ravel()
-    X = panel.values if isinstance(panel, Panel) else np.asarray(panel, dtype=float)
+    X = as_panel(panel).values
     if X.shape[0] != y.size:
         raise ValueError(f"panel has {X.shape[0]} rows, target has {y.size}")
     W, h = task.window, task.horizon

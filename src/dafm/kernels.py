@@ -212,8 +212,8 @@ class SmoothConfig:
     bandwidth_exponent: float = None
 
     def __post_init__(self):
-        if not (self.bandwidth > 0):
-            raise ValueError("bandwidth must be positive, got %r" % (self.bandwidth,))
+        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
+            raise ValueError("bandwidth must be finite and positive, got %r" % (self.bandwidth,))
         c = self.bandwidth_exponent
         if c is not None:
             m = self.kernel.order

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import _even_vals, _reduce, _scalar_out
-from .panel import Panel
+from .panel import as_panel
 
 __all__ = [
     "check_loss",
@@ -139,7 +139,7 @@ def smoothed_check_curv(eps, cfg):
 
 
 def _objective_inputs(panel, F, loadings, grid):
-    X = panel.values if isinstance(panel, Panel) else np.asarray(panel, dtype=float)
+    X = as_panel(panel).values
     F = np.ascontiguousarray(np.asarray(F, dtype=float))
     lam = np.ascontiguousarray(np.asarray(loadings, dtype=float))
     if lam.ndim == 2:

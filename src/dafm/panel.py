@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Panel", "load_panel", "save_panel"]
+__all__ = ["Panel", "as_panel", "load_panel", "save_panel"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,13 @@ class Panel:
     @property
     def n_series(self):
         return self.values.shape[1]
+
+
+def as_panel(data):
+    """``data`` if it is a :class:`Panel`, else a Panel of it: the one way an
+    entry point takes "a Panel or a T x N array", so an array goes through
+    the same checks (2-d, non-empty, finite) as a Panel."""
+    return data if isinstance(data, Panel) else Panel(data)
 
 
 def load_panel(path):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .estimator import FitConfig, _fit_raw
 from .losses import composite_objective
+from .panel import as_panel
 
 __all__ = ["RankSelection", "select_rank_ic", "select_rank_eigen", "default_penalty"]
 
@@ -77,11 +78,12 @@ def select_rank_ic(panel, grid, s_max=None, penalty=None, cfg=None):
     one-factor objective.  Ties break toward the smaller count; candidates
     that stop at the iteration cap still enter the criterion, with a warning.
     """
+    panel = as_panel(panel)
     X = panel.values
     T, N = X.shape
     s_max = _resolve_s_max(s_max, N, T)
-    if penalty is not None and penalty <= 0:
-        raise ValueError(f"penalty must be positive, got {penalty}")
+    if penalty is not None and not (penalty > 0 and math.isfinite(penalty)):
+        raise ValueError(f"penalty must be finite and positive, got {penalty}")
     if cfg is None:
         cfg = FitConfig(r=1)
 
@@ -128,7 +130,7 @@ def select_rank_eigen(panel, grid, s_max=None, thresholds="auto", cfg=None):
     ``thresholds`` is "auto" (L^(-2/3) times the leading eigenvalue, per
     level), a scalar, or one value per level.
     """
-    X = panel.values
+    X = as_panel(panel).values
     T, N = X.shape
     s_max = _resolve_s_max(s_max, N, T)
     if cfg is None:

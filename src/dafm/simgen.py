@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import QuantileGrid
 from .panel import Panel
 
 __all__ = [
     "ErrorDist",
     "SimTruth",
-    "sample_error",
     "density_weights",
     "weight_scheme",
     "ar1_series",
@@ -32,82 +30,83 @@ __all__ = [
 ]
 
 
+#: Each error family by kind: (parameter names, the error for a wrong
+#: parameter count, the parameters used when none are given, range checks
+#: as (condition, message formatted with the parameters) in order).  Draws
+#: are shifted to mean zero, so each family needs a finite mean.
+_FAMILIES = {
+    "gaussian": (("mu", "sigma"), "gaussian takes no parameters or mu,sigma", (0.0, 1.0), (
+        (lambda p: p[1] > 0, "gaussian sigma must be positive, got {1}"),
+    )),
+    "t": (("df",), "t takes exactly one parameter: df", (), (
+        (lambda p: p[0] > 0, "t degrees of freedom must be positive, got {0}"),
+        (lambda p: p[0] > 1, "centering a t requires df > 1 (finite mean)"),
+    )),
+    "mixture": (("p", "mu1", "var1", "mu2", "var2"), "mixture takes p,mu1,var1,mu2,var2", (), (
+        (lambda p: 0.0 <= p[0] <= 1.0, "mixture probability must be in [0, 1], got {0}"),
+        (lambda p: p[2] > 0 and p[4] > 0, "mixture component variances must be positive"),
+    )),
+    "skewt": (("xi", "omega", "alpha", "nu"), "skewt takes xi,omega,alpha,nu", (), (
+        (lambda p: p[1] > 0, "skewt omega must be positive, got {1}"),
+        (lambda p: p[3] > 0, "skewt nu must be positive, got {3}"),
+        (lambda p: p[3] > 1, "centering a skew-t requires nu > 1 (finite mean)"),
+    )),
+}
+
+
 @dataclass(frozen=True)
 class ErrorDist:
-    """Idiosyncratic error family.
+    """Idiosyncratic error family, shifted to mean zero.
 
-    ``params`` by kind: gaussian (mu, sigma); t (df); mixture
+    ``params`` by kind: gaussian (mu, sigma), default (0, 1); t (df); mixture
     (p, mu1, var1, mu2, var2) with component *variances*; skewt
-    (xi, omega, alpha, nu).  With ``centered`` (the default), draws and the
-    distribution functions refer to the mean-centered variable; centering
-    requires a finite mean, i.e. df > 1 for the t kinds.  A centered t is a
-    no-op shift (its mean is 0 by symmetry) but still demands df > 1 so that
-    the claim "mean zero" is true.
+    (xi, omega, alpha, nu).  Draws and the distribution functions refer to
+    the variable minus its mean, so the t kinds need df > 1; a t has mean
+    zero by symmetry, but df > 1 keeps the claim "mean zero" true.
     """
 
     kind: str
-    params: tuple
-    centered: bool = True
+    params: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        kind = self.kind
-        p = self.params
-        if kind == "gaussian":
-            if len(p) != 2:
-                raise ValueError("gaussian takes (mu, sigma)")
-            if p[1] <= 0:
-                raise ValueError(f"gaussian sigma must be positive, got {p[1]}")
-        elif kind == "t":
-            if len(p) != 1:
-                raise ValueError("t takes (df,)")
-            if p[0] <= 0:
-                raise ValueError(f"t degrees of freedom must be positive, got {p[0]}")
-            if self.centered and p[0] <= 1:
-                raise ValueError("centering a t requires df > 1 (finite mean)")
-        elif kind == "mixture":
-            if len(p) != 5:
-                raise ValueError("mixture takes (p, mu1, var1, mu2, var2)")
-            if not 0.0 <= p[0] <= 1.0:
-                raise ValueError(f"mixture probability must be in [0, 1], got {p[0]}")
-            if p[2] <= 0 or p[4] <= 0:
-                raise ValueError("mixture component variances must be positive")
-        elif kind == "skewt":
-            if len(p) != 4:
-                raise ValueError("skewt takes (xi, omega, alpha, nu)")
-            if p[1] <= 0:
-                raise ValueError(f"skewt omega must be positive, got {p[1]}")
-            if p[3] <= 0:
-                raise ValueError(f"skewt nu must be positive, got {p[3]}")
-            if self.centered and p[3] <= 1:
-                raise ValueError("centering a skew-t requires nu > 1 (finite mean)")
-        else:
+        if self.kind not in _FAMILIES:
             raise ValueError(
-                f"unknown error kind {kind!r}; expected gaussian, t, mixture, or skewt"
-            )
+                f"unknown error kind {self.kind!r}; expected one of {list(_FAMILIES)}")
+        names, arity, default, checks = _FAMILIES[self.kind]
+        p = tuple(float(v) for v in self.params) or default
+        if len(p) != len(names):
+            raise ValueError(arity)
+        for ok, message in checks:
+            if not ok(p):
+                raise ValueError(message.format(*p))
+        object.__setattr__(self, "params", p)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def gaussian(cls, mu=0.0, sigma=1.0, centered=True):
-        return cls("gaussian", (mu, sigma), centered)
+    def gaussian(cls, mu=0.0, sigma=1.0):
+        return cls("gaussian", (mu, sigma))
 
     @classmethod
-    def student_t(cls, df, centered=True):
-        return cls("t", (df,), centered)
+    def student_t(cls, df):
+        return cls("t", (df,))
 
     @classmethod
-    def gauss_mixture(cls, p, mu1, var1, mu2, var2, centered=True):
-        return cls("mixture", (p, mu1, var1, mu2, var2), centered)
+    def gauss_mixture(cls, p, mu1, var1, mu2, var2):
+        return cls("mixture", (p, mu1, var1, mu2, var2))
 
     @classmethod
-    def skew_t(cls, xi, omega, alpha, nu, centered=True):
-        return cls("skewt", (xi, omega, alpha, nu), centered)
+    def skew_t(cls, xi, omega, alpha, nu):
+        return cls("skewt", (xi, omega, alpha, nu))
 
-    # -- raw-distribution internals -----------------------------------------
+    # -- the raw distribution -----------------------------------------------
 
-    def raw_mean(self):
-        """Mean of the uncentered distribution (0 for the symmetric t)."""
+    # scipy.special, scipy.stats, scipy.integrate and scipy.optimize are
+    # imported where they are used: together they take over half a second
+    # to import.
+
+    def _mean(self):
+        """Mean of the raw distribution (0 for the symmetric t)."""
         p = self.params
         if self.kind == "gaussian":
             return p[0]
@@ -123,27 +122,26 @@ class ErrorDist:
             scipy.special.gammaln(0.5 * (nu - 1.0)) - scipy.special.gammaln(0.5 * nu)
         )
 
-    def _offset(self):
-        return self.raw_mean() if self.centered else 0.0
-
-    # scipy.special, scipy.stats, scipy.integrate and scipy.optimize are
-    # imported where they are used: together they take over half a second
-    # to import.
-
-    def _raw_pdf(self, x):
+    def _raw(self, x, fn):
+        """The raw distribution's ``fn`` ("pdf" or "cdf") at ``x``; the
+        skew-t cdf integrates its pdf and takes a scalar ``x``."""
         import scipy.stats
 
         p = self.params
         if self.kind == "gaussian":
-            return scipy.stats.norm.pdf(x, loc=p[0], scale=p[1])
+            return getattr(scipy.stats.norm, fn)(x, loc=p[0], scale=p[1])
         if self.kind == "t":
-            return scipy.stats.t.pdf(x, df=p[0])
+            return getattr(scipy.stats.t, fn)(x, df=p[0])
         if self.kind == "mixture":
             w, mu1, v1, mu2, v2 = p
-            return (
-                w * scipy.stats.norm.pdf(x, loc=mu1, scale=math.sqrt(v1))
-                + (1.0 - w) * scipy.stats.norm.pdf(x, loc=mu2, scale=math.sqrt(v2))
-            )
+            f = getattr(scipy.stats.norm, fn)
+            return (w * f(x, loc=mu1, scale=math.sqrt(v1))
+                    + (1.0 - w) * f(x, loc=mu2, scale=math.sqrt(v2)))
+        if fn == "cdf":
+            import scipy.integrate
+
+            val, _ = scipy.integrate.quad(self._raw, -np.inf, float(x), args=("pdf",), limit=200)
+            return min(max(val, 0.0), 1.0)
         xi, omega, alpha, nu = p
         z = (np.asarray(x, dtype=float) - xi) / omega
         core = scipy.stats.t.pdf(z, df=nu)
@@ -152,35 +150,17 @@ class ErrorDist:
         )
         return 2.0 / omega * core * tilt
 
-    def _raw_cdf(self, x):
-        import scipy.integrate
-        import scipy.stats
-
-        p = self.params
-        if self.kind == "gaussian":
-            return scipy.stats.norm.cdf(x, loc=p[0], scale=p[1])
-        if self.kind == "t":
-            return scipy.stats.t.cdf(x, df=p[0])
-        if self.kind == "mixture":
-            w, mu1, v1, mu2, v2 = p
-            return (
-                w * scipy.stats.norm.cdf(x, loc=mu1, scale=math.sqrt(v1))
-                + (1.0 - w) * scipy.stats.norm.cdf(x, loc=mu2, scale=math.sqrt(v2))
-            )
-        val, _ = scipy.integrate.quad(
-            self._raw_pdf, -np.inf, float(x), limit=200
-        )
-        return min(max(val, 0.0), 1.0)
-
     def _raw_quantile(self, q):
         import scipy.optimize
+        import scipy.special
         import scipy.stats
 
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantile level must be in (0, 1), got {q}")
         p = self.params
         if self.kind == "gaussian":
-            return float(scipy.stats.norm.ppf(q, loc=p[0], scale=p[1]))
+            # exactly scipy.stats.norm.ppf, without its argument handling
+            return float(scipy.special.ndtri(q) * p[1] + p[0])
         if self.kind == "t":
             return float(scipy.stats.t.ppf(q, df=p[0]))
         if self.kind == "mixture":
@@ -191,33 +171,31 @@ class ErrorDist:
             xi, omega = p[0], p[1]
             lo, hi = xi - 10 * omega, xi + 10 * omega
         for _ in range(60):
-            if self._raw_cdf(lo) < q:
+            if self._raw(lo, "cdf") < q:
                 break
             lo = 2 * lo - hi
         for _ in range(60):
-            if self._raw_cdf(hi) > q:
+            if self._raw(hi, "cdf") > q:
                 break
             hi = 2 * hi - lo
-        return float(scipy.optimize.brentq(lambda x: self._raw_cdf(x) - q, lo, hi, xtol=1e-12))
+        return float(scipy.optimize.brentq(lambda x: self._raw(x, "cdf") - q, lo, hi, xtol=1e-12))
 
-    # -- public (centered when configured) -----------------------------------
+    # -- public: the variable minus its mean ---------------------------------
 
     def pdf(self, x):
-        return self._raw_pdf(np.asarray(x, dtype=float) + self._offset())
+        return self._raw(np.asarray(x, dtype=float) + self._mean(), "pdf")
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float) + self._offset()
+        x = np.asarray(x, dtype=float) + self._mean()
         if self.kind == "skewt":
-            if x.ndim == 0:
-                return self._raw_cdf(float(x))
-            return np.array([self._raw_cdf(v) for v in x.ravel()]).reshape(x.shape)
-        return self._raw_cdf(x)
+            return np.vectorize(lambda v: self._raw(v, "cdf"), otypes=[float])(x)[()]
+        return self._raw(x, "cdf")
 
     def quantile(self, q):
-        return self._raw_quantile(q) - self._offset()
+        return self._raw_quantile(q) - self._mean()
 
     def sample(self, n, rng):
-        """n i.i.d. draws (centered when configured) from a Generator."""
+        """n i.i.d. mean-zero draws from a Generator."""
         p = self.params
         if self.kind == "gaussian":
             raw = rng.normal(loc=p[0], scale=p[1], size=n)
@@ -239,24 +217,14 @@ class ErrorDist:
             w_chi = rng.chisquare(nu, size=n)
             z = delta * u + math.sqrt(1.0 - delta * delta) * v
             raw = xi + omega * z / np.sqrt(w_chi / nu)
-        return raw - self._offset()
-
-
-def sample_error(dist, n, seed):
-    """n i.i.d. error draws; ``seed`` is an int or a numpy Generator."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(
-        np.random.SeedSequence(seed)
-    )
-    return dist.sample(int(n), rng)
+        return raw - self._mean()
 
 
 def density_weights(dist, grid):
     """Reweight a grid by the error density at each level's quantile.
 
     w_k = pdf(quantile(tau_k)) — levels in the distribution's high-density
-    region get more weight.  Invariant to the centering shift.
+    region get more weight.  Invariant to the shift to mean zero.
     """
     wts = []
     for tau in grid.levels:
@@ -307,9 +275,7 @@ def ar1_series(phi, T, seed):
         raise ValueError(f"AR coefficient must satisfy |phi| < 1, got {phi}")
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(
-        np.random.SeedSequence(seed)
-    )
+    rng = np.random.default_rng(seed)
     x = np.empty(T)
     x[0] = rng.standard_normal() / math.sqrt(1.0 - phi * phi)
     innov = rng.standard_normal(T - 1)
@@ -348,29 +314,26 @@ class SimTruth:
 
     def dafm_loadings(self, grid):
         """True (K, N, r) loadings in the model representation for ``grid``."""
-        N = self.loadings0.shape[0]
         q = np.array([self.dist.quantile(tau) for tau in grid.levels])
-        out = []
-        for qk in q:
-            if self.dgp == "location-shift":
-                out.append(np.column_stack([self.loadings0, np.full(N, qk)]))
-            else:
-                lam = self.loadings0.copy()
-                lam[:, 2] *= qk
-                out.append(lam)
-        return np.stack(out)
+        lam = np.repeat(self.loadings0[None], q.size, axis=0)
+        if self.dgp == "location-shift":
+            return np.concatenate([lam, np.repeat(q[:, None, None], lam.shape[1], axis=1)], axis=2)
+        lam[:, :, 2] *= q[:, None]
+        return lam
 
 
 def gen_location_shift(N, T, dist, seed):
     """Panel with three AR(1) factors and additive idiosyncratic errors.
 
     X_it = lam1_i f1_t + lam2_i f2_t + lam3_i f3_t + eps_it with AR
-    coefficients 0.8, 0.5, 0.2, standard-normal loadings, and centered
-    errors.  Returns ``(Panel, SimTruth)``.
+    coefficients 0.8, 0.5, 0.2, standard-normal loadings, and mean-zero
+    errors.  ``np.random.default_rng(seed)`` draws, in order: the three
+    factor paths (each as :func:`ar1_series`), the N×3 loadings, and the
+    T·N errors in row-major (t, i) order.  Returns ``(Panel, SimTruth)``.
     """
     if N < 1 or T < 1:
         raise ValueError(f"need N, T >= 1, got N={N}, T={T}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     F0 = np.column_stack([
         ar1_series(0.8, T, rng),
         ar1_series(0.5, T, rng),
@@ -389,11 +352,14 @@ def gen_location_scale_shift(N, T, dist, seed):
     X_it = lam1_i f1_t + lam2_i f2_t + lam3_i f3_t eps_it with f3 = |e3|
     i.i.d. half-normal and lam3 = |alpha_i|; the third factor moves
     dispersion, not the mean, so single-level fits at the median cannot see
-    it.  Returns ``(Panel, SimTruth)``.
+    it.  ``np.random.default_rng(seed)`` draws, in order: f1 and f2 (each as
+    :func:`ar1_series`, coefficients 0.8 and 0.5), the T draws behind f3, the
+    N×2 loadings of f1 and f2, the N draws behind lam3, and the T·N errors
+    in row-major (t, i) order.  Returns ``(Panel, SimTruth)``.
     """
     if N < 1 or T < 1:
         raise ValueError(f"need N, T >= 1, got N={N}, T={T}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     f1 = ar1_series(0.8, T, rng)
     f2 = ar1_series(0.5, T, rng)
     f3 = np.abs(rng.standard_normal(T))
@@ -405,6 +371,15 @@ def gen_location_scale_shift(N, T, dist, seed):
     lam = np.column_stack([lam12, lam3])
     truth = SimTruth(F0=F0, loadings0=lam, dist=dist, dgp="location-scale-shift", seed=int(seed))
     return Panel(X), truth
+
+
+#: ``--dgp`` names and their generators; ``location-scale`` is short for
+#: ``location-scale-shift``.
+DGPS = {
+    "location-shift": gen_location_shift,
+    "location-scale": gen_location_scale_shift,
+    "location-scale-shift": gen_location_scale_shift,
+}
 
 
 def parse_dist(spec):
@@ -419,22 +394,6 @@ def parse_dist(spec):
         args = tuple(float(v) for v in rest.split(",")) if rest else ()
     except ValueError:
         raise ValueError(f"could not parse numeric parameters in {spec!r}") from None
-    if name == "gaussian":
-        if args == ():
-            return ErrorDist.gaussian()
-        if len(args) == 2:
-            return ErrorDist.gaussian(*args)
-        raise ValueError("gaussian takes no parameters or mu,sigma")
-    if name == "t":
-        if len(args) != 1:
-            raise ValueError("t takes exactly one parameter: df")
-        return ErrorDist.student_t(args[0])
-    if name == "mixture":
-        if len(args) != 5:
-            raise ValueError("mixture takes p,mu1,var1,mu2,var2")
-        return ErrorDist.gauss_mixture(*args)
-    if name == "skewt":
-        if len(args) != 4:
-            raise ValueError("skewt takes xi,omega,alpha,nu")
-        return ErrorDist.skew_t(*args)
-    raise ValueError(f"unknown distribution {name!r}")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown distribution {name!r}")
+    return ErrorDist(name, args)

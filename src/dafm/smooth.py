@@ -26,7 +26,7 @@ from .errors import NumericalError
 from .estimator import _finish, _outer_loop, _setup, fit_dafm
 from .kernels import SmoothConfig
 from .losses import _scurv_vals, _sgrad_curv_vals, _sloss_vals, _smoothed_objective_core
-from .panel import Panel
+from .panel import as_panel
 
 __all__ = [
     "AsymptoticCov",
@@ -236,9 +236,7 @@ def fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=None):
 # ---------------------------------------------------------------------------
 
 def _fit_arrays(fit, panel):
-    if not isinstance(panel, Panel):
-        panel = Panel(np.asarray(panel, dtype=np.float64))
-    X = panel.values
+    X = as_panel(panel).values
     F = np.asarray(fit.F, dtype=np.float64)
     lam = np.asarray(fit.loadings, dtype=np.float64)
     T, N = X.shape

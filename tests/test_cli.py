@@ -10,6 +10,7 @@ import pytest
 import dafm.cli
 from dafm import Panel, save_panel
 from dafm.serialize import read_kv
+from dafm.simgen import _FAMILIES, DGPS
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -159,12 +160,41 @@ def test_every_manifest_reruns_to_the_same_options(tmp_path, monkeypatch, comman
     seen = []
     _, help_text, options = dafm.cli._COMMANDS[command]
     monkeypatch.setitem(dafm.cli._COMMANDS, command, (seen.append, help_text, options))
-    out = str(tmp_path / "out")
+    out, out_again = str(tmp_path / "out"), str(tmp_path / "again")
     assert dafm.cli.main([command, *flags, "--out", out]) == 0
-    assert dafm.cli.main([command, "--config", os.path.join(out, "manifest")]) == 0
+    assert dafm.cli.main([command, "--config", os.path.join(out, "manifest"),
+                          "--out", out_again]) == 0
     first, again = seen
     assert list(first) == [name for name, _, _ in options if name != "config"]
-    assert again == first
+    assert again == dict(first, out=out_again)
+
+
+def test_manifest_rerun_never_writes_into_the_first_run(sim_dir, tmp_path, monkeypatch):
+    first = tmp_path / "first"
+    argv = ["fit", "--panel", str(sim_dir / "panel.csv"), "--r", "2", "--levels", "0.5"]
+    assert dafm.cli.main(argv + ["--out", str(first)]) == 0
+    before = {name: (first / name).read_bytes() for name in ["fit/F.csv", "manifest"]}
+    # without --out the re-run writes to $DAFM_OUT_DIR, else the working directory
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    monkeypatch.delenv("DAFM_OUT_DIR", raising=False)
+    assert dafm.cli.main(["fit", "--config", str(first / "manifest")]) == 0
+    assert {name: (first / name).read_bytes() for name in before} == before
+    assert (elsewhere / "fit" / "F.csv").read_bytes() == before["fit/F.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "--method", "ic", "--smax", "3", "--penalty", "nan"],
+     "--penalty must be finite and positive, got nan"),
+    (["fit", "--r", "2", "--tol", "inf"], "--tol must be finite and positive, got inf"),
+    (["infer", "--r", "2", "--t", "3", "--bandwidth", "inf"],
+     "--bandwidth must be finite and positive, got inf"),
+])
+def test_non_finite_numbers_are_usage_errors(sim_dir, tmp_path, capsys, argv, message):
+    argv = argv + ["--panel", str(sim_dir / "panel.csv"), "--out", str(tmp_path)]
+    assert dafm.cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_readme_command_table_matches_the_cli():
@@ -172,6 +202,17 @@ def test_readme_command_table_matches_the_cli():
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     commands = re.findall(r"^\| `([^`]+)` +\|", section, flags=re.M)
     assert commands == list(dafm.cli._COMMANDS)
+
+
+def test_readme_lists_the_dgps_and_dists():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Simulated panels", 1)[1].split("\n## ", 1)[0]
+    first_cells = re.findall(r"^\| (.+?) +\|", section, flags=re.M)
+    split = first_cells.index("`--dist`")
+    dgps = [cell.strip("`") for cell in first_cells[1:split]]
+    forms = [cell.split("`")[-2] for cell in first_cells[split + 1:]]  # a row's last form
+    assert sorted(dgps) == sorted(DGPS)
+    assert forms == [f"{kind}:{','.join(names)}" for kind, (names, *_) in _FAMILIES.items()]
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -39,8 +39,9 @@ def _panel(seed=0, T=40, N=25, r=2):
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(r=0)
-    with pytest.raises(ValueError):
-        FitConfig(r=2, tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            FitConfig(r=2, tol=tol)
     with pytest.raises(ValueError):
         FitConfig(r=2, max_outer=0)
     with pytest.raises(ValueError, match="init"):

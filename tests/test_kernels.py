@@ -101,8 +101,9 @@ def test_smooth_config_for_sample():
 
 
 def test_smooth_config_validation():
-    with pytest.raises(ValueError, match="positive"):
-        SmoothConfig(kernel=build_kernel(8), bandwidth=0.0)
+    for h in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+            SmoothConfig(kernel=build_kernel(8), bandwidth=h)
     with pytest.raises(ValueError, match="1/m < c < 1/6"):
         SmoothConfig(kernel=build_kernel(8), bandwidth=0.5, bandwidth_exponent=0.2)
     with pytest.raises(ValueError):

@@ -1,6 +1,19 @@
 import numpy as np
 import pytest
 
+from dafm import (
+    FitConfig,
+    ForecastTask,
+    QuantileGrid,
+    SmoothConfig,
+    composite_objective,
+    factor_ci,
+    fit_dafm,
+    mean_pca,
+    rolling_forecast,
+    select_rank_eigen,
+    select_rank_ic,
+)
 from dafm.panel import Panel, load_panel, save_panel
 
 
@@ -52,3 +65,27 @@ def test_load_panel_errors(tmp_path):
     nonnum.write_text("a,b\n1,x\n")
     with pytest.raises(ValueError, match="non-numeric"):
         load_panel(nonnum)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_entry_points_take_an_array_through_the_panel_checks():
+    rng = np.random.default_rng(0)
+    X = np.outer(rng.standard_normal(20), rng.standard_normal(8)) + rng.standard_normal((20, 8))
+    bad = X.copy()
+    bad[3, 2] = np.nan
+    grid = QuantileGrid((0.25, 0.5, 0.75))
+    cfg = FitConfig(r=1, max_outer=4)
+    fit = fit_dafm(Panel(X), grid, cfg)
+    task = ForecastTask(target=X[:, 0], horizon=1, window=15, max_lag=0, method="ar")
+    for call in [
+        lambda A: fit_dafm(A, grid, cfg),
+        lambda A: mean_pca(A, 1),
+        lambda A: composite_objective(A, fit.F, fit.loadings, grid),
+        lambda A: rolling_forecast(A, X[:, 0], task),
+        lambda A: select_rank_ic(A, grid, s_max=2, cfg=cfg),
+        lambda A: select_rank_eigen(A, grid, s_max=2, cfg=cfg),
+        lambda A: factor_ci(fit, A, SmoothConfig.for_sample(20), 1),
+    ]:
+        call(X)  # a plain array works
+        with pytest.raises(ValueError, match="panel values must be finite"):
+            call(bad)

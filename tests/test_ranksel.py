@@ -131,8 +131,9 @@ def test_ic_explicit_penalty_endpoints():
     # an enormous penalty forces the smallest candidate
     sel_hi = select_rank_ic(p, GRID, s_max=4, penalty=1e6)
     assert sel_hi.r_hat == 1
-    with pytest.raises(ValueError, match="penalty"):
-        select_rank_ic(p, GRID, s_max=4, penalty=0.0)
+    for penalty in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="penalty must be finite and positive"):
+            select_rank_ic(p, GRID, s_max=4, penalty=penalty)
 
 
 def test_ic_criteria_are_objective_plus_linear_penalty():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.stats
 
 from dafm import (
     ErrorDist,
@@ -12,9 +13,9 @@ from dafm import (
     gen_location_scale_shift,
     gen_location_shift,
     parse_dist,
-    sample_error,
     weight_scheme,
 )
+from dafm.simgen import DGPS
 
 
 def test_error_dist_validation():
@@ -24,8 +25,6 @@ def test_error_dist_validation():
         ErrorDist.student_t(-1.0)
     with pytest.raises(ValueError, match="df > 1"):
         ErrorDist.student_t(1.0)
-    # uncentered t(1) is fine -- no mean is needed
-    ErrorDist.student_t(1.0, centered=False)
     with pytest.raises(ValueError, match="probability"):
         ErrorDist.gauss_mixture(1.5, 0, 1, 0, 1)
     with pytest.raises(ValueError, match="variances"):
@@ -38,6 +37,7 @@ def test_error_dist_validation():
         ErrorDist("laplace", (1.0,))
     with pytest.raises(ValueError, match="takes"):
         ErrorDist("gaussian", (1.0,))
+    assert ErrorDist("gaussian") == ErrorDist.gaussian(0.0, 1.0)
 
 
 def test_gaussian_density_weights_exact():
@@ -118,21 +118,9 @@ def test_ar1_series_moments_and_validation():
     ids=["gaussian", "t", "mixture", "skewt"],
 )
 def test_centered_samples_have_mean_zero(dist):
-    draws = sample_error(dist, 400_000, seed=11)
+    draws = dist.sample(400_000, np.random.default_rng(11))
     se = draws.std() / math.sqrt(draws.size)
     assert abs(draws.mean()) < 5 * se
-
-
-def test_sample_error_determinism_and_validation():
-    dist = ErrorDist.gauss_mixture(0.4, -1.0, 0.5, 2.0, 1.0)
-    a = sample_error(dist, 100, seed=7)
-    b = sample_error(dist, 100, seed=7)
-    np.testing.assert_array_equal(a, b)
-    rng = np.random.default_rng(np.random.SeedSequence(7))
-    c = sample_error(dist, 100, seed=rng)
-    np.testing.assert_array_equal(a, c)
-    with pytest.raises(ValueError, match="n >= 1"):
-        sample_error(dist, 0, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -153,19 +141,28 @@ def test_quantile_cdf_round_trip(dist):
         dist.quantile(0.0)
 
 
+def test_gaussian_quantile_is_norm_ppf_bit_for_bit():
+    levels = (np.arange(200) + 0.5) / 200
+    for mu, sigma in [(0.0, 1.0), (1.0, 2.0), (-3.5, 0.25)]:
+        dist = ErrorDist.gaussian(mu, sigma)
+        for q in levels:
+            assert dist.quantile(q) == scipy.stats.norm.ppf(q, mu, sigma) - mu
+
+
 def test_skewt_raw_mean_matches_integral():
-    dist = ErrorDist.skew_t(0.5, 1.2, 3.0, 5.0, centered=False)
-    val, err = scipy.integrate.quad(
-        lambda x: x * dist.pdf(x), -np.inf, np.inf, limit=400
-    )
-    assert dist.raw_mean() == pytest.approx(val, rel=1e-8)
-    mix = ErrorDist.gauss_mixture(0.3, -2.0, 1.0, 4.0, 2.0, centered=False)
-    assert mix.raw_mean() == pytest.approx(0.3 * -2.0 + 0.7 * 4.0)
+    # the distribution functions are shifted by the raw mean's formula, so
+    # the shifted variable integrates to mean zero only if the formula is right
+    for dist, scale in [(ErrorDist.skew_t(0.5, 1.2, 3.0, 5.0), 1.2),
+                        (ErrorDist.gauss_mixture(0.3, -2.0, 1.0, 4.0, 2.0), 3.0)]:
+        val, err = scipy.integrate.quad(
+            lambda x: x * dist.pdf(x), -np.inf, np.inf, limit=400
+        )
+        assert abs(val) < 1e-8 * scale
 
 
 def test_skewt_sampling_matches_analytic_quantiles():
     dist = ErrorDist.skew_t(0.0, 1.0, 4.0, 6.0)
-    draws = sample_error(dist, 200_000, seed=3)
+    draws = dist.sample(200_000, np.random.default_rng(3))
     for q in (0.1, 0.5, 0.9):
         assert np.quantile(draws, q) == pytest.approx(dist.quantile(q), abs=0.02)
 
@@ -206,11 +203,40 @@ def test_location_scale_shift_truth_structure():
     np.testing.assert_array_equal(lam[0, :, :2], truth.loadings0[:, :2])
 
 
+def _ar1_by_hand(rng, phi, T):
+    x = [rng.standard_normal() / math.sqrt(1.0 - phi * phi)]
+    for e in rng.standard_normal(T - 1):
+        x.append(phi * x[-1] + e)
+    return np.array(x)
+
+
+def test_draw_order_is_pinned():
+    # each panel rebuilt from one generator in the documented draw order
+    N, T, seed = 7, 11, 3
+    rng = np.random.default_rng(seed)
+    F0 = np.column_stack([_ar1_by_hand(rng, phi, T) for phi in (0.8, 0.5, 0.2)])
+    lam = rng.standard_normal((N, 3))
+    eps = rng.normal(0.0, 1.0, size=T * N).reshape(T, N)
+    panel, truth = gen_location_shift(N, T, ErrorDist.gaussian(), seed)
+    np.testing.assert_array_equal(panel.values, F0 @ lam.T + eps)
+    np.testing.assert_array_equal(truth.F0, F0)
+
+    rng = np.random.default_rng(seed)
+    f1, f2 = _ar1_by_hand(rng, 0.8, T), _ar1_by_hand(rng, 0.5, T)
+    f3 = np.abs(rng.standard_normal(T))
+    lam12 = rng.standard_normal((N, 2))
+    lam3 = np.abs(rng.standard_normal(N))
+    eps = rng.normal(0.0, 1.0, size=T * N).reshape(T, N)
+    X = np.outer(f1, lam12[:, 0]) + np.outer(f2, lam12[:, 1]) + np.outer(f3, lam3) * eps
+    panel, truth = gen_location_scale_shift(N, T, ErrorDist.gaussian(), seed)
+    np.testing.assert_array_equal(panel.values, X)
+    np.testing.assert_array_equal(truth.loadings0, np.column_stack([lam12, lam3]))
+
+
 @pytest.mark.parametrize("dgp", ["location-shift", "location-scale-shift"])
 def test_representation_gives_conditional_quantiles(dgp):
     # P(X_it <= Q_it(tau)) should be tau when the representation is right
-    gen = gen_location_shift if dgp == "location-shift" else gen_location_scale_shift
-    panel, truth = gen(100, 400, ErrorDist.student_t(3.0), seed=21)
+    panel, truth = DGPS[dgp](100, 400, ErrorDist.student_t(3.0), seed=21)
     grid = QuantileGrid((0.25, 0.5, 0.9))
     Fd = truth.dafm_factors()
     lam = truth.dafm_loadings(grid)
