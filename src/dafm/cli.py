@@ -30,7 +30,7 @@ from .kernels import SmoothConfig, build_kernel
 from .panel import load_panel, save_panel
 from .ranksel import select_rank_eigen, select_rank_ic
 from .serialize import parse_floats, read_kv, save_fit, write_kv, write_matrix, write_table
-from .simgen import DGPS, density_weights, parse_dist, weight_scheme
+from .simgen import DGPS, WEIGHT_SCHEMES, density_weights, parse_dist, weight_scheme
 from .smooth import _check_index, factor_ci, fit_smoothed_dafm, loading_ci
 
 
@@ -66,6 +66,14 @@ def _dgp(name):
     if name not in DGPS:
         raise ConfigError(f"must be one of {sorted(DGPS)}, got {name!r}")
     return name
+
+
+def _dist(spec):
+    try:
+        parse_dist(spec)
+    except ValueError as exc:
+        raise ConfigError(f"{spec!r}: {exc}") from None
+    return spec
 
 
 def _levels(s):
@@ -138,7 +146,7 @@ def _build_grid(levels, weights_spec):
     spec = weights_spec.strip()
     if spec.startswith("density:"):
         return density_weights(parse_dist(spec[len("density:"):]), grid)
-    if spec in ("uniform", "low2x", "med2x", "high2x"):
+    if spec in WEIGHT_SCHEMES:
         return weight_scheme(grid, spec)
     try:
         weights = parse_floats(spec)
@@ -421,7 +429,7 @@ def cmd_eval_sim(cfg):
 
 _COMMANDS = {
     "simulate": (cmd_simulate, "generate a synthetic panel plus its ground truth", _COMMON + [
-        ("dgp", _dgp, _REQUIRED), ("dist", str, "gaussian"), ("n", _POS_INT, _REQUIRED),
+        ("dgp", _dgp, _REQUIRED), ("dist", _dist, "gaussian"), ("n", _POS_INT, _REQUIRED),
         ("t", _POS_INT, _REQUIRED), ("seed", int, 0)]),
     "fit": (cmd_fit, "estimate a composite-quantile factor model", _COMMON + _GRID + [
         ("panel", str, _REQUIRED), ("r", _POS_INT, _REQUIRED), ("k-star", _POS_INT, None),
@@ -445,7 +453,7 @@ _COMMANDS = {
     ] + _FIT),
     "eval-sim": (cmd_eval_sim, "replicated simulation study with per-factor adjusted R²",
                  _COMMON + _GRID + [
-                     ("table", _POS_INT, None), ("dgp", _dgp, None), ("dist", str, "gaussian"),
+                     ("table", _POS_INT, None), ("dgp", _dgp, None), ("dist", _dist, "gaussian"),
                      ("sizes", str, "50x50"), ("reps", _POS_INT, 10), ("methods", str, "dafm"),
                      ("r", _POS_INT, None), ("seed", int, 0)]),
 }

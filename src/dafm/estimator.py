@@ -5,8 +5,9 @@ regressions for the loadings and per-period composite quantile regressions
 for the factors — until the relative change of the weighted objective drops
 below tolerance, then rotates the solution to the normalized parametrization
 (orthonormal factors, diagonalized loading cross-product at one reference
-level).  The kernel-smoothed fit (:mod:`dafm.smooth`) shares the outer
-loop, ``_outer_loop``, with its own sweeps and objective plugged in.
+level).  The kernel-smoothed fit (:mod:`dafm.smooth`) shares the outer loop
+``_outer_loop`` and the sweep pair of :mod:`dafm.solvers`; the fits differ
+in the batched solve and the objective they plug in.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import NumericalError
 from .grids import QuantileGrid
 from .losses import _composite_objective_core
 from .panel import as_panel
-from .solvers import _factor_sweep, _loading_sweep
+from .solvers import _exact_solve, _factor_sweep, _loading_sweep
 
 __all__ = [
     "FitConfig",
@@ -33,10 +34,6 @@ __all__ = [
     "normalize_fit",
 ]
 
-#: Duality-gap tolerance (relative to data scale) for the inner solver.
-INNER_GAP_RTOL = 1e-10
-#: Iteration cap for one inner interior-point solve.
-INNER_MAX_ITER = 60
 #: A factor entry above this in magnitude aborts a fit as diverged (a
 #: divergence detector only; no box constraint is imposed).
 MAGNITUDE_GUARD = 1e8
@@ -225,8 +222,8 @@ def _alternate(X, F0, grid, cfg):
     XT = np.ascontiguousarray(X.T)
 
     def sweep(F, lam, outer):
-        lam, m1 = _loading_sweep(XT, F, taus, lam, INNER_GAP_RTOL, INNER_MAX_ITER)
-        F, m2 = _factor_sweep(X, lam, taus, wts, F, INNER_GAP_RTOL, INNER_MAX_ITER)
+        lam, m1 = _loading_sweep(XT, F, taus, lam, _exact_solve)
+        F, m2 = _factor_sweep(X, lam, taus, wts, F, _exact_solve)
         return F, lam, m1 + m2
 
     def objective(F, lam):

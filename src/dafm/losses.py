@@ -9,6 +9,7 @@ curvature          vrho''(e) = (2/h) k(u) + (e/h^2) k'(u)      (tau-free)
 
 The smoothed loss equals the check loss exactly for |e| >= h.  The composite
 objective is M_NT = (1/NT) sum_k sum_i sum_t w_k rho_{tau_k}(X_it - lambda'f_t).
+It and its smoothed version S_NT share one per-level loop, ``_level_sum``.
 
 Each smoothed formula has one array core (``_sloss_vals``, ``_sgrad_vals``,
 ``_scurv_vals``, taking the ``Kernel`` and h), and ``_sgrad_curv_vals``
@@ -17,7 +18,7 @@ evaluate one even polynomial in v = min(u^2, 1) through ``kernels._reduce``
 and ``kernels._even_vals``: the loss and the derivative are
 tau - 1/2 + u P(v) (P the kernel's ``surv_v`` or ``grad_v``), the curvature
 is C(v) / h.  The public scalar-or-array functions, the smoothed objective,
-the damped-Newton sweeps and the plug-in density matrices in ``smooth`` all
+the damped Newton solve and the plug-in density matrices in ``smooth`` all
 evaluate through these cores.
 """
 
@@ -81,26 +82,26 @@ def _sgrad_curv_vals(kernel, taus, e, h):
     return _level_term(kernel.grad_v, taus, u, v, outside), _curv_term(kernel, v, outside, h)
 
 
-def _check_loss_sum(R, tau):
-    """Sum of rho_tau over a residual array."""
-    return np.sum(np.maximum(tau * R, (tau - 1.0) * R))
+def _check_vals(taus, e):
+    """Check loss max(tau e, (tau - 1) e)."""
+    return np.maximum(taus * e, (taus - 1.0) * e)
+
+
+def _level_sum(X, F, lam, taus, w, loss):
+    """(1/NT) sum_k w_k sum_{t,i} loss(tau_k, X_ti - f_t'lambda_ki)."""
+    T, N = X.shape
+    total = 0.0
+    for k in range(taus.size):
+        total += w[k] * np.sum(loss(taus[k], X - F @ lam[k].T))
+    return total / (N * T)
 
 
 def _composite_objective_core(X, F, lam, taus, w):
-    T, N = X.shape
-    total = 0.0
-    for k in range(taus.size):
-        R = X - F @ lam[k].T
-        total += w[k] * _check_loss_sum(R, taus[k])
-    return total / (N * T)
+    return _level_sum(X, F, lam, taus, w, _check_vals)
 
 
 def _smoothed_objective_core(X, F, lam, taus, w, h, kernel):
-    T, N = X.shape
-    total = 0.0
-    for k in range(taus.size):
-        total += w[k] * np.sum(_sloss_vals(kernel, taus[k], X - F @ lam[k].T, h))
-    return total / (N * T)
+    return _level_sum(X, F, lam, taus, w, lambda tau, e: _sloss_vals(kernel, tau, e, h))
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +116,7 @@ def _require_level(tau):
 def check_loss(eps, tau):
     """rho_tau(eps); vectorized, scalar in gives scalar out."""
     _require_level(tau)
-    e = np.asarray(eps, dtype=float)
-    return _scalar_out(np.maximum(tau * e, (tau - 1.0) * e))
+    return _scalar_out(_check_vals(tau, np.asarray(eps, dtype=float)))
 
 
 def smoothed_check_loss(eps, tau, cfg):

@@ -76,6 +76,9 @@ class ErrorDist:
         p = tuple(float(v) for v in self.params) or default
         if len(p) != len(names):
             raise ValueError(arity)
+        for name, v in zip(names, p):
+            if not math.isfinite(v):
+                raise ValueError(f"{self.kind} {name} must be finite, got {v}")
         for ok, message in checks:
             if not ok(p):
                 raise ValueError(message.format(*p))
@@ -235,33 +238,31 @@ def density_weights(dist, grid):
     return grid.with_weights(tuple(wts))
 
 
+#: Each weighting scheme: (the fewest levels it needs, the doubled slice of K levels).
+WEIGHT_SCHEMES = {
+    "uniform": (1, lambda K: slice(0)),
+    "low2x": (2, lambda K: slice(None, 2)),
+    "med2x": (3, lambda K: slice(K // 3, K - K // 3)),
+    "high2x": (2, lambda K: slice(-2, None)),
+}
+
+
 def weight_scheme(grid, scheme):
-    """Named weighting schemes over a grid.
+    """Named weighting schemes over a grid (``WEIGHT_SCHEMES``).
 
     ``uniform`` sets every weight to 1; ``low2x`` doubles the two lowest
     levels, ``high2x`` the two highest, and ``med2x`` the middle third (for
     the classic 7-level grid that is exactly the 0.3/0.5/0.7 block).
     """
+    if scheme not in WEIGHT_SCHEMES:
+        *names, last = WEIGHT_SCHEMES
+        raise ValueError(f"unknown scheme {scheme!r}; expected {', '.join(names)}, or {last}")
+    fewest, doubled = WEIGHT_SCHEMES[scheme]
     K = len(grid)
+    if K < fewest:
+        raise ValueError(f"{scheme} needs at least {fewest} levels")
     w = np.ones(K)
-    if scheme == "uniform":
-        pass
-    elif scheme == "low2x":
-        if K < 2:
-            raise ValueError("low2x needs at least 2 levels")
-        w[:2] = 2.0
-    elif scheme == "high2x":
-        if K < 2:
-            raise ValueError("high2x needs at least 2 levels")
-        w[-2:] = 2.0
-    elif scheme == "med2x":
-        if K < 3:
-            raise ValueError("med2x needs at least 3 levels")
-        w[K // 3 : K - K // 3] = 2.0
-    else:
-        raise ValueError(
-            f"unknown scheme {scheme!r}; expected uniform, low2x, med2x, or high2x"
-        )
+    w[doubled(K)] = 2.0
     return grid.with_weights(tuple(w))
 
 

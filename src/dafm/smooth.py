@@ -1,13 +1,12 @@
 """Kernel-smoothed estimation and plug-in asymptotic inference.
 
 Replacing the check loss with its kernel-smoothed version makes every
-subproblem twice differentiable, so the alternating sweeps here use a damped
-Newton method instead of linear programming; the outer loop, its stopping
-rule and its guards are the exact fit's.  Each sweep is one batched Newton
-(``_smooth_newton``): the K·N loading subproblems share the factors as
-their design, the T factor subproblems the stacked loadings.  The smoothed
-residual curvature doubles as a conditional-density estimate, which feeds
-the plug-in covariance matrices behind the confidence intervals.
+subproblem twice differentiable, so the smoothed fit plugs a damped Newton
+solve (``_smooth_newton``, the level weights as its ``cvec``) into the exact
+fit's outer loop and sweep pair, bound here as ``_smooth_loading_sweep`` /
+``_smooth_factor_sweep``.  The smoothed residual curvature doubles as a
+conditional-density estimate, which feeds the plug-in covariance matrices
+behind the confidence intervals.
 
 Both plug-in matrices are one curvature-weighted Gram (``_gram``): Psi_t
 on the stacked loadings of period t, Phi_ki on the factors.  Both interval
@@ -27,6 +26,8 @@ from .estimator import _finish, _outer_loop, _setup, fit_dafm
 from .kernels import SmoothConfig
 from .losses import _scurv_vals, _sgrad_curv_vals, _sloss_vals, _smoothed_objective_core
 from .panel import as_panel
+from .solvers import _factor_sweep as _smooth_factor_sweep
+from .solvers import _loading_sweep as _smooth_loading_sweep
 
 __all__ = [
     "AsymptoticCov",
@@ -76,7 +77,7 @@ class ConfidenceIntervals:
 
 
 # ---------------------------------------------------------------------------
-# damped-Newton sweeps on the smoothed loss
+# damped Newton on the smoothed loss
 # ---------------------------------------------------------------------------
 
 def _smooth_newton(Z, Y, taus, cvec, beta0, h, kernel, max_newton, tol):
@@ -161,36 +162,6 @@ def _smooth_newton(Z, Y, taus, cvec, beta0, h, kernel, max_newton, tol):
     return beta, obj, failed
 
 
-def _smooth_loading_sweep(XT, F, taus, lam, h, kernel, max_newton, tol, outer):
-    """Every (level, series) subproblem on the factors ``F`` as one batch;
-    row k·N + i is series i (row i of the (N, T) ``XT``) at level k."""
-    K, N, r = lam.shape
-    out, _, failed = _smooth_newton(F, np.tile(XT, (K, 1)), np.repeat(taus, N)[:, None],
-                                    np.ones(XT.shape[1]), lam.reshape(K * N, r),
-                                    h, kernel, max_newton, tol)
-    if failed.any():
-        k, i = divmod(int(np.argmax(failed)), N)
-        raise NumericalError(
-            f"line search failed in the smoothed loading subproblem at "
-            f"level k={k + 1}, series i={i + 1} (outer iteration {outer})"
-        )
-    return out.reshape(K, N, r)
-
-
-def _smooth_factor_sweep(X, lam, taus, wts, F, h, kernel, max_newton, tol, outer):
-    """Every period's subproblem on the K·N stacked loadings as one batch."""
-    K, N, r = lam.shape
-    out, _, failed = _smooth_newton(lam.reshape(K * N, r), np.tile(X, (1, K)),
-                                    np.repeat(taus, N), np.repeat(wts, N), F,
-                                    h, kernel, max_newton, tol)
-    if failed.any():
-        raise NumericalError(
-            f"line search failed in the smoothed factor subproblem at "
-            f"period t={int(np.argmax(failed)) + 1} (outer iteration {outer})"
-        )
-    return out
-
-
 def fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=None):
     """Fit the factor model under the kernel-smoothed objective.
 
@@ -218,11 +189,18 @@ def fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=None):
     taus = grid.levels_array()
     wts = grid.weights_array()
     XT = np.ascontiguousarray(X.T)
-    newton = (scfg.h, scfg.kernel, 40, min(cfg.tol * 1e-2, 1e-8))
 
     def sweep(F, lam, outer):
-        lam = _smooth_loading_sweep(XT, F, taus, lam, *newton, outer)
-        F = _smooth_factor_sweep(X, lam, taus, wts, F, *newton, outer)
+        def solve(Z, Y, levels, cvec, prev, name):
+            beta, _, failed = _smooth_newton(Z, Y, levels, cvec, prev, scfg.h, scfg.kernel,
+                                             40, min(cfg.tol * 1e-2, 1e-8))
+            if failed.any():
+                raise NumericalError(f"line search failed in the smoothed "
+                                     f"{name(int(np.argmax(failed)))} (outer iteration {outer})")
+            return beta, 0
+
+        lam, _ = _smooth_loading_sweep(XT, F, taus, lam, solve)
+        F, _ = _smooth_factor_sweep(X, lam, taus, wts, F, solve)
         return F, lam, 0
 
     def objective(F, lam):

@@ -1,13 +1,17 @@
-"""Weighted quantile regression solvers and the composite factor update.
+"""Weighted quantile regression solvers and the sweep pair both fits share.
 
 One batched layer solves every exact subproblem: B quantile regressions on
 one shared design, by a Mehrotra interior point on the LP dual
-(`_qreg_ipm`) and a vertex polish (`_qreg_polish`).  A loading sweep is one
-batch (K·N regressions on the factors), a factor sweep another (T periods on
-the stacked loadings).  Each row of a result is the best of (interior point,
-polish, previous iterate) by the exact check loss, so the alternating sweeps
-can never increase the objective.  A row that misses the gap target is
-counted and the fit warns; nothing falls back to another solver.
+(`_qreg_ipm`) and a vertex polish (`_qreg_polish`).  Each row of a result
+is the best of (interior point, polish, previous iterate) by the exact
+check loss, so the alternating sweeps can never increase the objective.  A
+row that misses the gap target is counted and the fit warns; nothing falls
+back to another solver.
+
+The sweep pair lays out each batch once for both fits: ``_loading_sweep``
+the K·N (level, series) regressions on the factors, ``_factor_sweep`` the T
+per-period regressions on the stacked loadings.  Each fit plugs in its own
+batched ``solve``; the exact fit's is ``_exact_solve``.
 
 A reference simplex solution via ``scipy.optimize.linprog`` is exposed as
 ``lp_oracle_quantile``.  It is the tests' independent check of the interior
@@ -23,6 +27,10 @@ from .errors import NumericalError
 __all__ = ["lp_oracle_quantile"]
 
 _STEP_BACKOFF = 0.9995
+#: Duality-gap tolerance (relative to data scale) for the interior point.
+INNER_GAP_RTOL = 1e-10
+#: Iteration cap for one interior-point solve.
+INNER_MAX_ITER = 60
 
 
 def _ploss(resid, taus):
@@ -160,30 +168,36 @@ def _qreg_solve(Z, Y, taus, prev, gap_rtol, max_iter):
     return beta, obj, ok
 
 
-def _loading_sweep(XT, F, taus, lam_prev, gap_rtol, max_iter):
-    """Every (level, series) quantile regression on the factors ``F`` as one
-    batch; row k·N + i is series i (row i of the (N, T) ``XT``) at level k.
-    Returns the (K, N, r) loadings and the count of missed gap targets."""
-    K, N, r = lam_prev.shape
-    lam, _, ok = _qreg_solve(F, np.tile(XT, (K, 1)), np.repeat(taus, N)[:, None],
-                             lam_prev.reshape(K * N, r), gap_rtol, max_iter)
-    return lam.reshape(K, N, r), int(np.count_nonzero(~ok))
+def _exact_solve(Z, Y, taus, wts, prev, name):
+    """The exact fit's ``solve``: coefficients and the count of missed gap
+    targets (counted, not raised, so ``name`` goes unused).  Row-scaling by
+    the weights makes the loss plain: rho_tau(w*e) = w * rho_tau(e), w > 0."""
+    beta, _, ok = _qreg_solve(wts[:, None] * Z, wts * Y, taus, prev, INNER_GAP_RTOL, INNER_MAX_ITER)
+    return beta, int(np.count_nonzero(~ok))
 
 
-def _factor_sweep(X, lam, taus, wts, F_prev, gap_rtol, max_iter):
-    """Every period's composite quantile regression on fixed loadings as one
-    batch on the stacked design.
-
-    Row-scaling by the level weights turns the weighted composite loss into
-    a plain multi-level quantile regression: rho_tau(w*e) = w * rho_tau(e)
-    for w > 0.  Returns the (T, r) factors and the count of missed gap
-    targets.
-    """
+def _loading_sweep(XT, F, taus, lam, solve):
+    """Every (level, series) regression on the factors ``F`` as one unweighted
+    batch for ``solve``; row k·N + i is series i (row i of the (N, T) ``XT``)
+    at level k.  Returns the (K, N, r) loadings and ``solve``'s second value."""
     K, N, r = lam.shape
-    Zs = (wts[:, None, None] * lam).reshape(K * N, r)
-    Y = (wts[None, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-    F, _, ok = _qreg_solve(Zs, Y, np.repeat(taus, N), F_prev, gap_rtol, max_iter)
-    return F, int(np.count_nonzero(~ok))
+
+    def name(row):
+        k, i = divmod(row, N)
+        return f"loading subproblem at level k={k + 1}, series i={i + 1}"
+
+    out, extra = solve(F, np.tile(XT, (K, 1)), np.repeat(taus, N)[:, None],
+                       np.ones(XT.shape[1]), lam.reshape(K * N, r), name)
+    return out.reshape(K, N, r), extra
+
+
+def _factor_sweep(X, lam, taus, wts, F, solve):
+    """Every period's composite regression on the K·N stacked loadings as
+    one batch for ``solve``, observation k·N + i weighted by w_k.  Returns
+    the (T, r) factors and ``solve``'s second value."""
+    K, N, r = lam.shape
+    return solve(lam.reshape(K * N, r), np.tile(X, (1, K)), np.repeat(taus, N),
+                 np.repeat(wts, N), F, lambda t: f"factor subproblem at period t={t + 1}")
 
 
 def _as_design(y, Z):

@@ -10,7 +10,7 @@ import pytest
 import dafm.cli
 from dafm import Panel, save_panel
 from dafm.serialize import read_kv
-from dafm.simgen import _FAMILIES, DGPS
+from dafm.simgen import _FAMILIES, DGPS, WEIGHT_SCHEMES
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -136,6 +136,26 @@ def test_weights_errors_say_what_is_wrong(sim_dir, tmp_path, capsys, weights, me
             "--levels", "0.25,0.5,0.75", "--weights", weights, "--out", str(tmp_path)]
     assert dafm.cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scheme", list(WEIGHT_SCHEMES))
+def test_every_weighting_scheme_is_a_weights_value(sim_dir, tmp_path, scheme):
+    argv = ["fit", "--panel", str(sim_dir / "panel.csv"), "--r", "1", "--max-outer", "1",
+            "--levels", "0.25,0.5,0.75", "--weights", scheme, "--out", str(tmp_path)]
+    assert dafm.cli.main(argv) == 0
+    assert read_kv(tmp_path / "manifest")["weights"] == scheme
+
+
+@pytest.mark.parametrize("dist, message", [
+    ("gaussian:nan,1", "gaussian mu must be finite, got nan"),
+    ("skewt:0,1,nan,5", "skewt alpha must be finite, got nan"),
+    ("t:inf", "t df must be finite, got inf"),
+])
+def test_non_finite_dist_parameters_are_dist_errors(tmp_path, capsys, dist, message):
+    argv = ["simulate", "--dgp", "location-shift", "--n", "5", "--t", "6", "--dist", dist,
+            "--out", str(tmp_path)]
+    assert dafm.cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: --dist {dist!r}: {message}\n"
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -37,6 +37,16 @@ def test_error_dist_validation():
         ErrorDist("laplace", (1.0,))
     with pytest.raises(ValueError, match="takes"):
         ErrorDist("gaussian", (1.0,))
+    # a non-finite parameter is named before any range check reads it
+    for kind, params, message in [
+        ("gaussian", (np.nan, 1.0), "gaussian mu must be finite, got nan"),
+        ("gaussian", (0.0, np.inf), "gaussian sigma must be finite, got inf"),
+        ("t", (np.inf,), "t df must be finite, got inf"),
+        ("mixture", (np.nan, 0, 1, 0, 1), "mixture p must be finite, got nan"),
+        ("skewt", (0.0, 1.0, -np.inf, 5.0), "skewt alpha must be finite, got -inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ErrorDist(kind, params)
     assert ErrorDist("gaussian") == ErrorDist.gaussian(0.0, 1.0)
 
 

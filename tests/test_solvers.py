@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dafm.solvers import (
+    _exact_solve,
     _factor_sweep,
     _loading_sweep,
     _max_step,
@@ -167,7 +168,7 @@ def _composite_instance(seed, K=3, N=15, r=2):
 def test_factor_sweep_matches_stacked_oracle():
     for seed in (0, 1, 2):
         taus, wts, lam, x, Zs, ys, tau_s = _composite_instance(seed)
-        F, misses = _factor_sweep(x[None], lam, taus, wts, np.zeros((1, 2)), 1e-10, 60)
+        F, misses = _factor_sweep(x[None], lam, taus, wts, np.zeros((1, 2)), _exact_solve)
         f_lp = lp_oracle_quantile(ys, Zs, tau_s)
         assert misses == 0
         assert _ploss(ys - Zs @ F[0], tau_s) <= _ploss(ys - Zs @ f_lp, tau_s) + 1e-9
@@ -288,12 +289,12 @@ def test_weighted_composite_rows_match_lp_oracle(case):
         e = y - Zs @ f
         return np.sum(w_s * np.maximum(tau_s * e, (tau_s - 1.0) * e))
 
-    F_new, _ = _factor_sweep(X, lam, taus, wts, np.zeros((T, r)), 1e-10, 60)
+    F_new, _ = _factor_sweep(X, lam, taus, wts, np.zeros((T, r)), _exact_solve)
     for x_t, f in zip(X, F_new):
         y = np.tile(x_t, K)
         f_lp = lp_oracle_quantile(y, Zs, tau_s, weights=w_s)
         assert wloss(y, f) <= wloss(y, f_lp) + 1e-9 * (1.0 + np.sum(w_s * np.abs(y)))
-    lam_new, _ = _loading_sweep(X.T, F, taus, np.zeros((K, N, r)), 1e-10, 60)
+    lam_new, _ = _loading_sweep(X.T, F, taus, np.zeros((K, N, r)), _exact_solve)
     for k in range(K):
         level = np.full(T, taus[k])
         for i in range(N):
