@@ -1,10 +1,12 @@
 """Kernel-smoothed estimation and plug-in asymptotic inference.
 
 Replacing the check loss with its kernel-smoothed version makes every
-subproblem twice differentiable, so the smoothed fit plugs a damped Newton
-solve (``_smooth_newton``, the level weights as its ``cvec``) into the exact
-fit's outer loop and sweep pair, bound here as ``_smooth_loading_sweep`` /
-``_smooth_factor_sweep``.  The smoothed residual curvature doubles as a
+subproblem twice differentiable, so the smoothed fit plugs a batched damped
+Newton solve (``_smooth_newton``, the level weights as its ``cvec``) into the
+exact fit's outer loop and sweep pair, bound here as ``_smooth_loading_sweep``
+/ ``_smooth_factor_sweep``.  That solve shifts a Hessian past its smallest
+eigenvalue only when it is not positive definite, and backtracks by quadratic
+interpolation.  The smoothed residual curvature doubles as a
 conditional-density estimate, which feeds the plug-in covariance matrices
 behind the confidence intervals.
 
@@ -81,15 +83,22 @@ class ConfidenceIntervals:
 # ---------------------------------------------------------------------------
 
 def _smooth_newton(Z, Y, taus, cvec, beta0, h, kernel, max_newton, tol):
-    """Damped Newton with Levenberg regularization and Armijo backtracking
-    on B problems that share the (n, r) design ``Z``.
+    """Damped Newton on B problems that share the (n, r) design ``Z``.
 
     Row b minimizes sum_j cvec[j] * smoothed_loss_{taus[b, j]}(Y[b, j] - Z[j] @ beta)
-    from ``beta0[b]``, with ``taus`` broadcast to the (B, n) ``Y``.  Every
-    accepted step strictly decreases its row's objective, so the caller's
-    sweep is monotone; a row leaves the working set once it stops or fails.
-    Returns ``(beta, obj, failed)`` of shapes (B, r), (B,), (B,), ``failed``
-    where no acceptable step was found from a non-stationary point.
+    from ``beta0[b]``, with ``taus`` broadcast to the (B, n) ``Y``.  Each
+    iteration solves (H + mu I) d = -g with the modified-Hessian shift
+    mu = 1e-10 max(1, max_j |H_jj|) - min(0, 1.01 lambda_min(H)), so a
+    positive-definite H gives the Newton direction, and backtracks from the
+    unit step by quadratic interpolation to the Armijo condition (Nocedal &
+    Wright 2006, sections 3.4 and 3.5); a direction with no acceptable step
+    is retried with mu raised tenfold.  A row stops once its gradient is
+    below ``tol * (1 + |obj|)`` or an accepted step lowers its objective by
+    no more than that.  Every accepted step strictly decreases its row's
+    objective, so the caller's sweep is monotone; a row leaves the working
+    set once it stops or fails.  Returns ``(beta, obj, failed)`` of shapes
+    (B, r), (B,), (B,), ``failed`` where no acceptable step was found from
+    a non-stationary point.
     """
     B, r = beta0.shape
     diag = slice(None, None, r + 1)
@@ -124,12 +133,10 @@ def _smooth_newton(Z, Y, taus, cvec, beta0, h, kernel, max_newton, tol):
         if live.size == 0:
             break
         # Higher-order kernels have negative curvature lobes, so H can be
-        # indefinite or exactly zero; shifting past the Gershgorin bound keeps
-        # every regularized system positive definite.
-        off = np.abs(H)
-        off[:, diag] = 0.0
-        gersh = np.min(H[:, diag] - off.reshape(-1, r, r).sum(axis=2), axis=1)
-        mu = 1e-10 * np.maximum(1.0, np.max(np.abs(H[:, diag]), axis=1)) - np.minimum(0.0, gersh)
+        # indefinite or exactly zero; shifting past its smallest eigenvalue
+        # keeps every regularized system positive definite.
+        lmin = np.linalg.eigvalsh(H.reshape(-1, r, r))[:, 0]
+        mu = 1e-10 * np.maximum(1.0, np.max(np.abs(H[:, diag]), axis=1)) - np.minimum(0.0, 1.01 * lmin)
         obj_prev = obj[live]
         accepted = np.zeros(live.size, dtype=bool)
         todo = np.arange(live.size)  # working-set rows still without a step
@@ -150,7 +157,11 @@ def _smooth_newton(Z, Y, taus, cvec, beta0, h, kernel, max_newton, tol):
                 ok = obj_new <= obj[rows] + 1e-4 * step * gd
                 beta[rows[ok]], obj[rows[ok]] = cand[ok], obj_new[ok]
                 accepted[idx[ok]] = True
-                idx, d, gd, step = idx[~ok], d[~ok], gd[~ok], 0.5 * step[~ok]
+                idx, d, gd, step, rows = idx[~ok], d[~ok], gd[~ok], step[~ok], rows[~ok]
+                # minimizer of the quadratic through f(0), f'(0) = gd and f(step),
+                # clipped to [0.1, 0.5] * step; halved where it is not finite
+                quad = -gd * step * step / (2.0 * (obj_new[~ok] - obj[rows] - gd * step))
+                step = np.where(np.isfinite(quad), np.clip(quad, 0.1 * step, 0.5 * step), 0.5 * step)
             todo = todo[~accepted[todo]]
             if todo.size == 0:
                 break

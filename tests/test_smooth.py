@@ -19,9 +19,14 @@ from dafm.estimator import FactorFit, FitConfig, fit_dafm
 from dafm.evalmetrics import adjusted_r2
 from dafm.grids import QuantileGrid
 from dafm.kernels import SmoothConfig, build_kernel
-from dafm.losses import composite_objective, smoothed_check_curv, smoothed_composite_objective
+from dafm.losses import (
+    composite_objective,
+    smoothed_check_curv,
+    smoothed_check_grad,
+    smoothed_composite_objective,
+)
 from dafm.panel import Panel, save_panel
-from dafm.simgen import ErrorDist, density_weights, gen_location_shift
+from dafm.simgen import ErrorDist, density_weights, gen_location_scale_shift, gen_location_shift
 from dafm.smooth import (
     DENSITY_FLOOR,
     _smooth_newton,
@@ -356,6 +361,80 @@ def test_newton_rows_that_finished_take_no_step():
     assert obj[1] < start[0]
     np.testing.assert_allclose(beta[1], alone[0], rtol=0, atol=1e-8)
     assert obj[1] == pytest.approx(alone_obj[0], rel=0, abs=1e-8)
+
+
+def _first_newton_step(Z, y, beta0):
+    """Gradient and Hessian at ``beta0`` of one smoothed median regression,
+    and the step its first Newton iteration takes."""
+    scfg = SmoothConfig.for_sample(len(y))
+    e = y - Z @ beta0
+    g = -(smoothed_check_grad(e, 0.5, scfg) @ Z)
+    H = Z.T @ (smoothed_check_curv(e, scfg)[:, None] * Z)
+    beta, _, failed = _smooth_newton(Z, y[None], 0.5, np.ones(len(y)), beta0[None],
+                                     scfg.h, scfg.kernel, 1, 1e-8)
+    assert not failed[0]
+    return g, H, beta[0] - beta0
+
+
+def _assert_parallel(step, direction):
+    along = step @ direction / (direction @ direction)
+    assert along > 0
+    np.testing.assert_allclose(step, along * direction, rtol=1e-7, atol=0)
+
+
+def test_newton_keeps_a_positive_definite_hessian_unshifted():
+    # correlated columns and residuals inside the kernel's central lobe: H is
+    # positive definite while its Gershgorin bound is negative, and the shift
+    # stays at its 1e-10 floor, so the first direction is the Newton one
+    rng = np.random.default_rng(0)
+    Z = rng.standard_normal((60, 1)) + 0.3 * rng.standard_normal((60, 3))
+    y = Z.sum(axis=1) + 0.04 * rng.uniform(-1.0, 1.0, 60)
+    g, H, step = _first_newton_step(Z, y, np.ones(3))
+    off = np.abs(H).sum(axis=1) - np.abs(np.diag(H))
+    assert np.min(np.diag(H) - off) < 0.0 < np.linalg.eigvalsh(H)[0]
+    _assert_parallel(step, -np.linalg.solve(H, g))
+
+
+def test_newton_shifts_an_indefinite_hessian_past_its_smallest_eigenvalue():
+    rng = np.random.default_rng(0)
+    Z = rng.standard_normal((60, 1)) + 0.3 * rng.standard_normal((60, 3))
+    y = Z.sum(axis=1) + rng.standard_normal(60)
+    g, H, step = _first_newton_step(Z, y, np.zeros(3))
+    lmin = np.linalg.eigvalsh(H)[0]
+    assert lmin < 0.0
+    shifted = H + (1e-10 * max(1.0, np.abs(np.diag(H)).max()) - 1.01 * lmin) * np.eye(3)
+    assert np.linalg.eigvalsh(shifted)[0] > 0.0
+    _assert_parallel(step, -np.linalg.solve(shifted, g))
+
+
+def _exit_gradient(panel, fit, scfg):
+    """Largest factor-subproblem gradient over the periods, relative to
+    sum_k w_k sum_i |lam_ki| componentwise."""
+    X, grid = panel.values, fit.grid
+    grad = np.zeros_like(fit.F)
+    scale = np.zeros(fit.F.shape[1])
+    for L, tau, w in zip(fit.loadings, grid.levels_array(), grid.weights_array()):
+        grad -= w * smoothed_check_grad(X - fit.F @ L.T, tau, scfg) @ L
+        scale += w * np.abs(L).sum(axis=0)
+    return np.abs(grad / scale).max()
+
+
+@pytest.mark.parametrize("gen, N, T, seed, r", [
+    (gen_location_scale_shift, 30, 40, 0, 3),
+    (gen_location_scale_shift, 30, 40, 1, 3),
+    (gen_location_scale_shift, 30, 40, 2, 3),
+    (gen_location_shift, 12, 20, 11, 2),
+])
+def test_smoothed_fit_ends_at_a_stationary_factor_subproblem(gen, N, T, seed, r):
+    # the Newton solves stop on their gradient, not on a short damped step
+    panel = gen(N, T, ErrorDist.gaussian(), seed)[0]
+    grid = QuantileGrid((0.1, 0.3, 0.5, 0.7, 0.9))
+    scfg = SmoothConfig.for_sample(T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = fit_smoothed_dafm(panel, grid, FitConfig(r=r), scfg)
+    assert fit.converged
+    assert _exit_gradient(panel, fit, scfg) <= 1e-6
 
 
 def _failing_newton(monkeypatch, factor, fail_at, row):
