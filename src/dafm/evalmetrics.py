@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = ["adjusted_r2", "relative_mse"]
 
 
@@ -43,7 +45,11 @@ def adjusted_r2(true_factor, estimated):
 
 
 def relative_mse(forecasts, actuals, baseline_forecasts):
-    """MSE of the forecasts divided by MSE of the baseline forecasts."""
+    """MSE of the forecasts divided by MSE of the baseline forecasts.
+
+    A zero baseline MSE, as when the baseline fits the actuals exactly,
+    raises :class:`NumericalError`.
+    """
     f = np.asarray(forecasts, dtype=float).ravel()
     a = np.asarray(actuals, dtype=float).ravel()
     b = np.asarray(baseline_forecasts, dtype=float).ravel()
@@ -51,5 +57,5 @@ def relative_mse(forecasts, actuals, baseline_forecasts):
         raise ValueError("forecasts, actuals, and baseline must share a length >= 1")
     mse_b = float(np.mean((b - a) ** 2))
     if mse_b == 0.0:
-        raise ValueError("baseline MSE is zero; relative MSE undefined")
+        raise NumericalError("baseline MSE is zero; relative MSE undefined")
     return float(np.mean((f - a) ** 2)) / mse_b

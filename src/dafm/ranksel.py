@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import NumericalError
 from .estimator import FitConfig, _fit_raw
 from .losses import composite_objective
 from .panel import as_panel
@@ -48,12 +49,13 @@ def default_penalty(N, T, scale):
     Vanishes as the panel grows yet dominates the L^(-2) estimation noise,
     which is what consistency of the criterion requires.  ``scale`` is
     typically the objective of the one-factor fit, making the criterion
-    scale-free in the data.
+    scale-free in the data.  A zero ``scale``, as when one factor fits the
+    panel exactly, raises :class:`NumericalError`.
     """
     if N < 2 or T < 2:
         raise ValueError(f"need N, T >= 2, got N={N}, T={T}")
     if scale == 0:
-        raise ValueError("penalty scale must be nonzero (degenerate scale)")
+        raise NumericalError("penalty scale must be nonzero (degenerate scale)")
     L = min(math.sqrt(N), math.sqrt(T))
     return float(scale) * L ** (-2.0 / 3.0)
 

@@ -41,13 +41,20 @@ def _ploss(resid, taus):
     return np.cumsum(np.maximum(taus * resid, (taus - 1.0) * resid), axis=-1)[..., -1]
 
 
-def _max_step(x, dx, s, ds):
-    """Per problem (last axis), the largest alpha in (0, 1e30] keeping
-    x + alpha*dx >= 0 and s + alpha*ds >= 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step_x = np.where(dx < 0.0, -x / dx, 1e30).min(axis=-1)
-        step_s = np.where(ds < 0.0, -s / ds, 1e30).min(axis=-1)
-    return np.minimum(step_x, step_s)
+def _primal_step(a, s, da):
+    """Per problem (last axis), the largest alpha keeping a + alpha*da >= 0
+    and s - alpha*da >= 0: one ratio per entry, a/|da| where da < 0 and
+    s/|da| elsewhere.  A zero or NaN entry of ``da`` never blocks, and a
+    problem with nothing blocking gets inf.  Call under ``np.errstate``."""
+    return np.fmin.reduce(np.where(da < 0.0, a, s) / np.abs(da), axis=-1, initial=np.inf)
+
+
+def _dual_step(z, dz, w, dw):
+    """Per problem (last axis), the largest alpha keeping z + alpha*dz >= 0
+    and w + alpha*dw >= 0, as minus the largest blocking ratio z/dz (dz < 0)
+    or w/dw (dw < 0); inf when nothing blocks.  Call under ``np.errstate``."""
+    return -np.maximum(np.where(dz < 0.0, z / dz, -np.inf).max(axis=-1),
+                       np.where(dw < 0.0, w / dw, -np.inf).max(axis=-1))
 
 
 def _gap(a, z, s, w):
@@ -55,6 +62,7 @@ def _gap(a, z, s, w):
     return np.einsum("bj,bj->b", a, z) + np.einsum("bj,bj->b", s, w)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
     """Mehrotra predictor-corrector on B quantile-regression LP duals that
     share the (n, r) design ``Z``: row b of the (B, n) response ``Y`` is
@@ -67,6 +75,13 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
     step once its duality gap meets ``gap_rtol·(1 + sum|y|)`` or goes
     non-finite.  Returns ``(beta, gap, ok)`` of shapes (B, r), (B,), (B,);
     ``ok`` is False where the gap target was not reached.
+
+    Step rule: per row, the primal step is the smallest a/|da| (da < 0) or
+    s/|da| (da > 0), the dual step the smallest -z/dz (dz < 0) or -w/dw
+    (dw < 0), each capped at 1 and, for the corrector, first shrunk by
+    ``_STEP_BACKOFF``.  A zero or NaN direction entry never limits a step;
+    the divisions by zero entries are expected, and the ``np.errstate`` on
+    the whole solve silences them.
     """
     (B, n), r = Y.shape, Z.shape[1]
     ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(n, r * r)
@@ -86,7 +101,8 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
     for _ in range(max_iter):
         if live.size == 0:
             break
-        q = 1.0 / (z / a + w / s)
+        za, ws = z / a, w / s
+        q = 1.0 / (za + ws)
         rzw = z - w
         QQ = q @ ZZ
         QQ[:, diag] += 1e-13 * (QQ[:, diag].sum(axis=1, keepdims=True) / r + 1.0)
@@ -94,11 +110,11 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
         # affine scaling (predictor) direction
         dy = np.linalg.solve(Q, ((q * rzw) @ Z)[..., None])[..., 0]
         da = q * (dy @ Z.T - rzw)
-        dz = -z - (z / a) * da
-        dw = -w + (w / s) * da
-        ap = np.minimum(1.0, _max_step(a, da, s, -da))[:, None]
-        ad = np.minimum(1.0, _max_step(z, dz, w, dw))[:, None]
-        gap_aff = _gap(a + ap * da, z + ad * dz, s - ap * da, w + ad * dw)
+        dz = -z - za * da
+        dw = -w + ws * da
+        apda = np.minimum(1.0, _primal_step(a, s, da))[:, None] * da
+        ad = np.minimum(1.0, _dual_step(z, dz, w, dw))[:, None]
+        gap_aff = _gap(a + apda, z + ad * dz, s - apda, w + ad * dw)
         mu = gap / (2.0 * n)
         sigma = np.minimum((gap_aff / gap) ** 3, 1.0)
         smu = (sigma * mu)[:, None]
@@ -110,10 +126,10 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
         da = q * (dy @ Z.T + rcomb)
         dz = (rc1 - z * da) / a
         dw = (rc2 + w * da) / s
-        ap = np.minimum(1.0, _STEP_BACKOFF * _max_step(a, da, s, -da))[:, None]
-        ad = np.minimum(1.0, _STEP_BACKOFF * _max_step(z, dz, w, dw))[:, None]
-        a = a + ap * da
-        s = s - ap * da
+        apda = np.minimum(1.0, _STEP_BACKOFF * _primal_step(a, s, da))[:, None] * da
+        ad = np.minimum(1.0, _STEP_BACKOFF * _dual_step(z, dz, w, dw))[:, None]
+        a = a + apda
+        s = s - apda
         b = b + ad * dy
         z = z + ad * dz
         w = w + ad * dw

@@ -248,6 +248,32 @@ def test_numerical_failure_exits_3(tmp_path):
     assert "numerical failure" in res.stderr
 
 
+def test_exact_baseline_forecast_exits_3(tmp_path):
+    # y_t = t^2 has changes 2t + 1, so the AR(0) change regression fits
+    # every window exactly and the baseline MSE behind rel_mse_vs_ar is zero
+    X = np.random.default_rng(0).standard_normal((30, 6))
+    X[:, 0] = np.arange(30.0) ** 2
+    save_panel(Panel(X), tmp_path / "quad.csv")
+    res = run_cli(
+        "forecast", "--panel", tmp_path / "quad.csv", "--target", 1, "--r", 1,
+        "--levels", "0.5", "--window", 20, "--max-lag", 0, "--out", tmp_path / "out",
+    )
+    assert res.returncode == 3, res.stderr
+    assert "numerical failure: baseline MSE is zero" in res.stderr
+
+
+def test_exact_one_factor_rank_ic_exits_3(tmp_path):
+    # one factor fits a constant panel exactly, so the default penalty's
+    # scale, the one-factor objective, is zero
+    save_panel(Panel(np.ones((20, 12))), tmp_path / "ones.csv")
+    res = run_cli(
+        "rank", "--panel", tmp_path / "ones.csv", "--method", "ic", "--smax", 2,
+        "--levels", "0.25,0.5,0.75", "--out", tmp_path / "out",
+    )
+    assert res.returncode == 3, res.stderr
+    assert "numerical failure: penalty scale must be nonzero" in res.stderr
+
+
 def test_linalg_failure_exits_3(sim_dir, tmp_path, monkeypatch, capsys):
     # numpy's LinAlgError subclasses ValueError; it is still a numerical failure
     def singular(*args, **kwargs):

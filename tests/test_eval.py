@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dafm import adjusted_r2, relative_mse
+from dafm import NumericalError, adjusted_r2, relative_mse
 
 
 def test_adjusted_r2_perfect_fit_and_formula():
@@ -54,7 +54,7 @@ def test_relative_mse_values_and_errors():
     # mse(f) = 1/3, mse(b) = 1/3
     assert relative_mse(f, a, b) == pytest.approx(1.0)
     assert relative_mse(a, a, b) == 0.0
-    with pytest.raises(ValueError, match="baseline MSE is zero"):
+    with pytest.raises(NumericalError, match="baseline MSE is zero"):
         relative_mse(f, a, a)
     with pytest.raises(ValueError, match="share a length"):
         relative_mse(f, a, b[:2])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dafm.errors import NumericalError
 from dafm.estimator import FitConfig, fit_dafm
 from dafm.grids import QuantileGrid
 from dafm.panel import Panel
@@ -38,7 +39,7 @@ def test_default_penalty_arithmetic():
 def test_default_penalty_validation():
     with pytest.raises(ValueError, match="N, T"):
         default_penalty(1, 50, 1.0)
-    with pytest.raises(ValueError, match="scale"):
+    with pytest.raises(NumericalError, match="scale"):
         default_penalty(50, 50, 0.0)
 
 

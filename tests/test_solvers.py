@@ -1,5 +1,7 @@
 """Quantile-regression solvers against the exact linear-programming oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -9,8 +11,9 @@ from dafm.solvers import (
     _exact_solve,
     _factor_sweep,
     _loading_sweep,
-    _max_step,
+    _dual_step,
     _ploss,
+    _primal_step,
     _qreg_ipm,
     _qreg_polish,
     _qreg_solve,
@@ -86,7 +89,7 @@ def test_ipm_matches_lp_oracle_on_degenerate_designs(case):
     assert _ploss(y - Z @ beta, taus) <= _ploss(y - Z @ b_lp, taus) + slack
 
 
-def test_ploss_and_max_step_match_scalar_loops():
+def test_ploss_matches_scalar_loop():
     # _ploss must sum left to right: the fit's tie-breaks depend on it
     rng = np.random.default_rng(5)
     for n in (1, 7, 300):
@@ -96,10 +99,55 @@ def test_ploss_and_max_step_match_scalar_loops():
         for e, tau in zip(resid, taus):
             total += max(tau * e, (tau - 1.0) * e)
         assert _ploss(resid, taus) == total
-        x, s = rng.uniform(0.1, 2.0, size=(2, n))
-        dx, ds = rng.standard_normal((2, n))
-        steps = [-a / d for a, d in zip(np.r_[x, s], np.r_[dx, ds]) if d < 0.0]
-        assert _max_step(x, dx, s, ds) == min(steps, default=1e30)
+
+
+def _scalar_step(x, dx, s, ds):
+    """The step rule entry by entry: the smallest -v/d over the d < 0."""
+    steps = [-v / d for v, d in zip(np.r_[x, s], np.r_[dx, ds]) if d < 0.0]
+    return min(steps, default=1e30)
+
+
+def test_step_lengths_match_scalar_loop():
+    # exact equality wherever an entry blocks; a row where nothing blocks
+    # may give inf for the loop's 1e30, which min(1, .) cannot tell apart
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 300):
+        x, s, z, w = rng.uniform(0.1, 2.0, size=(4, 8, n))
+        x[1, 0] = s[1, -1] = 0.0  # a bound already met
+        d, dz, dw = rng.standard_normal((3, 8, n))
+        for v in (d, dz, dw):
+            v[2, ::2] = 0.0  # zero entries
+            v[3, 1::3] = np.nan  # NaN entries
+            v[4] = 0.0  # nothing blocks the primal step
+            v[5, ::2] = np.nan
+            v[5, 1::2] = 0.0  # nothing blocks, NaNs among zeros
+            v[6] = np.abs(v[6])  # nothing blocks the dual step
+            v[7] = np.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            primal = _primal_step(x, s, d)
+            dual = _dual_step(z, dz, w, dw)
+        for b in range(8):
+            for got, want in ((primal[b], _scalar_step(x[b], d[b], s[b], -d[b])),
+                              (dual[b], _scalar_step(z[b], dz[b], w[b], dw[b]))):
+                assert got == want or (want == 1e30 and got == np.inf), (n, b, got, want)
+
+
+def test_interior_point_leaks_no_warning_and_keeps_error_state():
+    # an integer design: row 0 is an exact fit at scale 1e8, so it starts at
+    # its gap target; row 1 is all zeros, so every primal direction entry is
+    # zero and each primal ratio divides by it; row 2 iterates normally
+    Z = np.column_stack([np.ones(12), np.repeat([0.0, 1.0], 6), np.tile([0.0, 0.0, 1.0], 4)])
+    Y = np.vstack([Z @ np.array([2e8, -1e8, 3e8]), np.zeros(12), np.arange(12.0) % 5])
+    taus = np.array([[0.5], [0.25], [0.75]])
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start, _, ok0 = _qreg_ipm(Z, Y, taus, 1e-10, 0)
+        beta, _, ok = _qreg_ipm(Z, Y, taus, 1e-10, 60)
+    assert np.geterr() == before
+    assert ok0.tolist() == [True, False, False] and ok.all()
+    np.testing.assert_array_equal(beta[0], start[0])
+    np.testing.assert_array_equal(beta[1], 0.0)
 
 
 def test_median_regression_on_odd_sample_interpolates():
