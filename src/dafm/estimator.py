@@ -93,7 +93,10 @@ class FactorFit:
     ``F`` is T×r with ``F.T @ F / T = I`` after normalization; ``loadings``
     stacks the K loading matrices as a (K, N, r) array in grid order.
     ``objective_trace`` holds the weighted objective after every outer
-    iteration (non-increasing).
+    iteration (non-increasing).  ``F`` and ``loadings`` are read-only copies
+    of the arrays passed in, as ``Panel.values`` is, so a fit never changes
+    after it is built and the plug-in intervals can reuse one batch per fit
+    (:mod:`dafm.smooth`).
     """
 
     F: np.ndarray
@@ -102,6 +105,12 @@ class FactorFit:
     objective_trace: tuple = ()
     converged: bool = False
     normalization: NormalizationReport | None = None
+
+    def __post_init__(self):
+        for name in ("F", "loadings"):
+            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_periods(self):

@@ -130,7 +130,10 @@ def select_rank_eigen(panel, grid, s_max=None, thresholds="auto", cfg=None):
     excess directions at ~0.  The selected count is the max over levels of
     the number of eigenvalues exceeding that level's threshold.
     ``thresholds`` is "auto" (L^(-2/3) times the leading eigenvalue, per
-    level), a scalar, or one value per level.
+    level), a scalar, or one value per level.  Thresholds the caller gives
+    that exceed every eigenvalue raise ``ValueError``; "auto" selects no
+    factor only on a degenerate fit, with no positive leading eigenvalue,
+    and raises :class:`NumericalError` there.
     """
     X = as_panel(panel).values
     T, N = X.shape
@@ -170,6 +173,10 @@ def select_rank_eigen(panel, grid, s_max=None, thresholds="auto", cfg=None):
     counts = (eig > kappa[:, None]).sum(axis=1)
     r_hat = int(counts.max())
     if r_hat == 0:
+        if isinstance(thresholds, str):
+            # the automatic threshold is below every positive leading eigenvalue
+            raise NumericalError("no leading loading-covariance eigenvalue is positive "
+                                 "at any level (degenerate fit)")
         raise ValueError("threshold exceeds leading eigenvalue at every level")
     return RankSelection(
         method="eigen",

@@ -7,18 +7,24 @@ exact fit's outer loop and sweep pair, bound here as ``_smooth_loading_sweep``
 / ``_smooth_factor_sweep``.  That solve shifts a Hessian past its smallest
 eigenvalue only when it is not positive definite, and backtracks by quadratic
 interpolation.  The smoothed residual curvature doubles as a
-conditional-density estimate, which feeds the plug-in covariance matrices
-behind the confidence intervals.
+conditional-density estimate (``_residual_curvature``, one (K, T, N) array),
+which feeds the plug-in covariance matrices behind the confidence intervals.
 
 Both plug-in matrices are one curvature-weighted Gram (``_gram``): Psi_t
 on the stacked loadings of period t, Phi_ki on the factors.  Both interval
-kinds share one sandwich (``_interval``): the psd flag on the raw matrix,
-inversion of the density-floored one, and the normal half-widths.
+kinds share one batched sandwich (``_sandwich``): the psd flags on the raw
+matrices, then inversion of the density-floored ones.  ``factor_ci`` builds
+every period's interval in one pass, ``loading_ci`` every (level, series)
+interval, and later calls with the same fit, ``Panel`` and smoothing config
+reuse that pass (``_memo_batch``); each call applies its own level and
+returns its own arrays.  A plain-array panel is recomputed, for the one
+index asked for, on every call.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +33,7 @@ from .errors import NumericalError
 from .estimator import _finish, _outer_loop, _setup, fit_dafm
 from .kernels import SmoothConfig
 from .losses import _scurv_vals, _sgrad_curv_vals, _sloss_vals, _smoothed_objective_core
-from .panel import as_panel
+from .panel import Panel, as_panel
 from .solvers import _factor_sweep as _smooth_factor_sweep
 from .solvers import _loading_sweep as _smooth_loading_sweep
 
@@ -242,32 +248,31 @@ def _check_index(name, value, upper):
         raise ValueError(f"{name} index must be in 1..{upper}, got {value}")
 
 
-def _gram(D, C, n):
-    """Symmetrized sum_j C[..., j] D_j D_j' / n for the rows D_j of a (J, r)
-    design; any leading axes of C lead the (r, r) result."""
-    G = (D.T * C[..., np.newaxis, :]) @ D / n
+def _gram(C, D, axes, n):
+    """Symmetrized sum_j C_j D_j D_j' / n over the axes ``axes`` of the
+    curvatures C and the leading axes of the design rows D; the remaining
+    axes of C lead the (r, r) results.  One matrix product against the
+    per-row outer products D_j D_j'."""
+    G = np.tensordot(C, D[..., :, np.newaxis] * D[..., np.newaxis, :], axes=axes) / n
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def _psi(wts, lam, C):
-    """Psi_t for every period of the curvatures C (K, T, N): the Gram of the
-    K*N stacked loadings, weighted by w_k times the curvature."""
-    K, N, r = lam.shape
-    WC = (wts[:, np.newaxis, np.newaxis] * C).transpose(1, 0, 2).reshape(C.shape[1], K * N)
-    return _gram(lam.reshape(K * N, r), WC, N)
+    """Psi_t for every period of the curvatures C (K, T, N), shape (T, r, r):
+    the Gram of the K*N stacked loadings, weighted by w_k times the curvature."""
+    return _gram(wts[:, np.newaxis, np.newaxis] * C, lam, ([0, 2], [0, 1]), lam.shape[1])
+
+
+def _phi(F, C):
+    """Phi_ki for every (level, series) of the curvatures C (K, T, N), shape
+    (K, N, r, r): the curvature-weighted Gram of the factors."""
+    return _gram(C, F, ([1], [0]), F.shape[0])
 
 
 def _residual_curvature(X, F, lam, scfg):
-    """Curvature at every fitted residual X - F lam_k', shape (K, T, N)."""
+    """Curvature at every fitted residual X - F lam_k', shape (K, T, N): the
+    kernel estimate of each conditional density at its fitted quantile."""
     return _scurv_vals(scfg.kernel, X - F @ lam.transpose(0, 2, 1), scfg.h)
-
-
-def _loading_curvature(fit, panel, scfg, k, i):
-    """Fit arrays and the curvature at the residuals of 1-based level k, series i."""
-    X, F, lam = _fit_arrays(fit, panel)
-    _check_index("level", k, lam.shape[0])
-    _check_index("series", i, lam.shape[1])
-    return X, F, lam, _scurv_vals(scfg.kernel, X[:, i - 1] - F @ lam[k - 1, i - 1], scfg.h)
 
 
 def plug_in_psi(fit, panel, scfg):
@@ -285,8 +290,10 @@ def plug_in_psi(fit, panel, scfg):
 
 def plug_in_phi(fit, panel, scfg, k, i):
     """Density-weighted factor second moment for 1-based level k, series i."""
-    _, F, _, c = _loading_curvature(fit, panel, scfg, k, i)
-    return _gram(F, c, F.shape[0])
+    X, F, lam = _fit_arrays(fit, panel)
+    _check_index("level", k, lam.shape[0])
+    _check_index("series", i, lam.shape[1])
+    return _phi(F, _residual_curvature(X[:, i - 1:i], F, lam[k - 1:k, i - 1:i], scfg))[0, 0]
 
 
 def tau_comoments(grid):
@@ -308,31 +315,96 @@ def _check_aspect(T, N):
         )
 
 
-def _interval(est, raw, M, middle, n, level, where, **fields):
-    """Intervals est ± z sqrt(diag(cov)), cov = M^-1 middle M^-1 / n.
-
-    ``raw`` (the unfloored plug-in matrix) only sets the ``psd`` flag; ``M``
-    (its density-floored version) is inverted.
-    """
+def _check_level(level):
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    psd_ok = np.linalg.eigvalsh(raw)[0] >= PSD_TOL
-    if np.linalg.eigvalsh(M)[0] <= 0.0:
+
+
+@dataclass(frozen=True)
+class _CIBatch:
+    """Level-free interval pieces for a stack of indices (periods, or
+    (level, series) pairs): estimates, covariances (NaN where ``pd`` is
+    false), the density-floored plug-in matrices, the psd flags of the raw
+    ones, the pd flags of the floored ones, and ``sigma`` (factors only)."""
+
+    est: np.ndarray
+    cov: np.ndarray
+    mats: np.ndarray
+    psd: np.ndarray
+    pd: np.ndarray
+    sigma: np.ndarray | None = None
+
+
+def _sandwich(raw, M, middle, n):
+    """psd flags, pd flags and covariances M^-1 middle M^-1 / n of a stack.
+
+    ``raw`` (the unfloored plug-in matrices) only sets the psd flags; ``M``
+    (their density-floored versions) is inverted where it is positive
+    definite, and the covariance is NaN elsewhere.  ``middle`` broadcasts to
+    the shape of ``M``.
+    """
+    psd = np.linalg.eigvalsh(raw)[..., 0] >= PSD_TOL
+    pd = np.linalg.eigvalsh(M)[..., 0] > 0.0
+    M_inv = np.linalg.inv(M[pd])
+    cov = np.full(M.shape, np.nan)
+    c = M_inv @ np.broadcast_to(middle, M.shape)[pd] @ M_inv / n
+    cov[pd] = 0.5 * (c + np.swapaxes(c, -1, -2))
+    return psd, pd, cov
+
+
+def _factor_batch(X, F, lam, grid, scfg):
+    """Factor-interval batch for the periods (rows) of X and F."""
+    K, N, r = lam.shape
+    wts = grid.weights_array()
+    C = _residual_curvature(X, F, lam, scfg)
+    psi = _psi(wts, lam, np.maximum(C, DENSITY_FLOOR))
+    L = lam.transpose(0, 2, 1).reshape(K * r, N)
+    sigma = (L @ L.T / N).reshape(K, r, K, r).transpose(0, 2, 1, 3)
+    omega = np.einsum("km,kmab->ab", np.outer(wts, wts) * tau_comoments(grid), sigma)
+    psd, pd, cov = _sandwich(_psi(wts, lam, C), psi, omega, N)
+    return _CIBatch(F, cov, psi, psd, pd, sigma)
+
+
+def _loading_batch(X, F, lam, taus, scfg):
+    """Loading-interval batch for the levels and series of lam (and taus)."""
+    C = _residual_curvature(X, F, lam, scfg)
+    phi = _phi(F, np.maximum(C, DENSITY_FLOOR))
+    middle = (taus * (1.0 - taus))[:, np.newaxis, np.newaxis, np.newaxis] * np.eye(F.shape[1])
+    psd, pd, cov = _sandwich(_phi(F, C), phi, middle, F.shape[0])
+    return _CIBatch(lam, cov, phi, psd, pd)
+
+
+#: The last batch of each interval kind: (fit ref, Panel ref, SmoothConfig,
+#: batch).  Weak references keep neither the fit nor the panel alive, and a
+#: dead one never matches; both hold read-only arrays, so identity is enough.
+_MEMO = {}
+
+
+def _memo_batch(kind, fit, panel, scfg, build):
+    slot = _MEMO.get(kind)
+    if slot is not None and slot[0]() is fit and slot[1]() is panel and slot[2] == scfg:
+        return slot[3]
+    batch = build()
+    _MEMO[kind] = (weakref.ref(fit), weakref.ref(panel), scfg, batch)
+    return batch
+
+
+def _ci_at(batch, idx, level, where, **fields):
+    """The caller's own copy of interval ``idx`` of a batch at ``level``."""
+    if not batch.pd[idx]:
         raise NumericalError(
             f"plug-in density matrix {where} is not positive definite; "
             "confidence intervals are unavailable"
         )
-    M_inv = np.linalg.inv(M)
-    cov = M_inv @ middle @ M_inv / n
-    cov = 0.5 * (cov + cov.T)
     import scipy.special  # imported here: it takes about 0.2 s to import
 
     z = scipy.special.ndtri(0.5 * (1.0 + level))  # the standard normal quantile
+    cov = batch.cov[idx].copy()
+    est = batch.est[idx].copy()
     half = z * np.sqrt(np.maximum(np.diag(cov), 0.0))
-    asym = AsymptoticCov(psd=psd_ok, **fields)
+    asym = AsymptoticCov(psd=bool(batch.psd[idx]), **fields)
     return ConfidenceIntervals(
-        estimate=est.copy(), lower=est - half, upper=est + half,
-        level=float(level), cov=cov, asym=asym,
+        estimate=est, lower=est - half, upper=est + half, level=float(level), cov=cov, asym=asym,
     )
 
 
@@ -343,21 +415,26 @@ def factor_ci(fit, panel, scfg, t, level=0.95):
     cross-moments between inverses of the period's plug-in density matrix.
     Raises :class:`NumericalError` when that matrix is not positive definite
     even after density flooring.
+
+    For a :class:`Panel`, the first call builds every period's interval in
+    one batched pass and later calls with the same fit, panel and smoothing
+    config reuse it; each call returns its own arrays.  A plain array is
+    recomputed, for period ``t`` only, on every call.
     """
     X, F, lam = _fit_arrays(fit, panel)
     T, N = X.shape
     _check_index("period", t, T)
+    _check_level(level)
     _check_aspect(T, N)
-    wts = fit.grid.weights_array()
-    C = _residual_curvature(X[t - 1:t], F[t - 1:t], lam, scfg)
-    psi_raw = _psi(wts, lam, C)[0]
-    psi = _psi(wts, lam, np.maximum(C, DENSITY_FLOOR))[0]
-    K, _, r = lam.shape
-    L = lam.transpose(0, 2, 1).reshape(K * r, N)
-    sigma = (L @ L.T / N).reshape(K, r, K, r).transpose(0, 2, 1, 3)
-    omega = np.einsum("km,kmab->ab", np.outer(wts, wts) * tau_comoments(fit.grid), sigma)
-    return _interval(F[t - 1], psi_raw, psi, omega, N, level, f"at period {t}",
-                     psi_t=psi, sigma_kk=sigma)
+    if isinstance(panel, Panel):
+        batch = _memo_batch("factor", fit, panel, scfg,
+                            lambda: _factor_batch(X, F, lam, fit.grid, scfg))
+        idx = t - 1
+    else:
+        batch = _factor_batch(X[t - 1:t], F[t - 1:t], lam, fit.grid, scfg)
+        idx = 0
+    return _ci_at(batch, idx, level, f"at period {t}",
+                  psi_t=batch.mats[idx].copy(), sigma_kk=batch.sigma.copy())
 
 
 def loading_ci(fit, panel, scfg, k, i, level=0.95):
@@ -366,13 +443,25 @@ def loading_ci(fit, panel, scfg, k, i, level=0.95):
     Covariance tau_k (1 - tau_k) Phi^{-2} / T with Phi the density-weighted
     factor second moment (its inverse enters squared because the normalized
     factors have identity second moment).
+
+    For a :class:`Panel`, the first call builds every (level, series)
+    interval in one batched pass and later calls with the same fit, panel
+    and smoothing config reuse it; each call returns its own arrays.  A
+    plain array is recomputed, for (k, i) only, on every call.
     """
-    X, F, lam, c = _loading_curvature(fit, panel, scfg, k, i)
+    X, F, lam = _fit_arrays(fit, panel)
     T, N = X.shape
+    _check_index("level", k, lam.shape[0])
+    _check_index("series", i, N)
+    _check_level(level)
     _check_aspect(T, N)
-    phi_raw = _gram(F, c, T)
-    phi = _gram(F, np.maximum(c, DENSITY_FLOOR), T)
-    tau = fit.grid.levels[k - 1]
-    middle = tau * (1.0 - tau) * np.eye(F.shape[1])
-    return _interval(lam[k - 1, i - 1], phi_raw, phi, middle, T, level,
-                     f"for level {k}, series {i}", phi_ki=phi)
+    taus = fit.grid.levels_array()
+    if isinstance(panel, Panel):
+        batch = _memo_batch("loading", fit, panel, scfg,
+                            lambda: _loading_batch(X, F, lam, taus, scfg))
+        idx = (k - 1, i - 1)
+    else:
+        batch = _loading_batch(X[:, i - 1:i], F, lam[k - 1:k, i - 1:i], taus[k - 1:k], scfg)
+        idx = (0, 0)
+    return _ci_at(batch, idx, level, f"for level {k}, series {i}",
+                  phi_ki=batch.mats[idx].copy())

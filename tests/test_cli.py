@@ -130,6 +130,8 @@ def test_unusable_paths_exit_2(sim_dir, tmp_path, capsys):
     ("1,2", "weights length 2 != levels length 3"),
     ("1,0,1", "weights must be positive: (1.0, 0.0, 1.0)"),
     ("1,a,1", "--weights must be a scheme name, 'density:<dist>', or numbers; got '1,a,1'"),
+    # the error law and the levels both come from the caller
+    ("density:gaussian:0,1e300", "error density underflows at level 0.25"),
 ])
 def test_weights_errors_say_what_is_wrong(sim_dir, tmp_path, capsys, weights, message):
     argv = ["fit", "--panel", str(sim_dir / "panel.csv"), "--r", "1",
@@ -272,6 +274,22 @@ def test_exact_one_factor_rank_ic_exits_3(tmp_path):
     )
     assert res.returncode == 3, res.stderr
     assert "numerical failure: penalty scale must be nonzero" in res.stderr
+
+
+@pytest.mark.parametrize("thresholds, code, message", [
+    # every eigenvalue of a zero panel's fit is zero: an automatic threshold
+    # selecting no factor is a degenerate fit, a given one a usage error
+    ("auto", 3, "numerical failure: no leading loading-covariance eigenvalue is positive"),
+    ("0.1", 2, "error: threshold exceeds leading eigenvalue at every level"),
+])
+def test_eigen_rank_of_a_zero_panel(tmp_path, thresholds, code, message):
+    save_panel(Panel(np.zeros((20, 12))), tmp_path / "zeros.csv")
+    res = run_cli(
+        "rank", "--panel", tmp_path / "zeros.csv", "--method", "eigen", "--smax", 2,
+        "--thresholds", thresholds, "--levels", "0.25,0.5,0.75", "--out", tmp_path / "out",
+    )
+    assert res.returncode == code, res.stderr
+    assert message in res.stderr
 
 
 def test_linalg_failure_exits_3(sim_dir, tmp_path, monkeypatch, capsys):

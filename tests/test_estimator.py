@@ -160,6 +160,18 @@ def test_common_component_accessor():
         fit.common_component(4)
 
 
+def test_factor_fit_holds_read_only_copies():
+    F, lam = np.zeros((4, 1)), np.ones((1, 3, 1))
+    fit = FactorFit(F=F, loadings=lam, grid=QuantileGrid((0.5,)))
+    with pytest.raises(ValueError, match="read-only"):
+        fit.F[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        fit.loadings[0, 0, 0] = 2.0
+    # the arrays passed in stay writable, and writing them leaves the fit alone
+    F[0, 0], lam[0, 0, 0] = 1.0, 2.0
+    assert fit.F[0, 0] == 0.0 and fit.loadings[0, 0, 0] == 1.0
+
+
 def test_noiseless_panel_recovers_quantile_surface():
     # exact factor structure, no noise: the fitted median surface matches X
     rng = np.random.default_rng(21)

@@ -9,6 +9,7 @@ matrices, where the target is known exactly for uniform errors.
 
 import functools
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from dafm.losses import (
 )
 from dafm.panel import Panel, save_panel
 from dafm.simgen import ErrorDist, density_weights, gen_location_scale_shift, gen_location_shift
+import dafm.smooth as smooth
 from dafm.smooth import (
     DENSITY_FLOOR,
+    PSD_TOL,
     _smooth_newton,
     factor_ci,
     fit_smoothed_dafm,
@@ -263,36 +266,152 @@ def test_plug_in_matrices_match_naive_loops():
     X, F, lam = panel.values, fit.F, fit.loadings
     T, N = X.shape
     K, _, r = lam.shape
-    w = fit.grid.weights
-    naive = np.zeros((T, r, r))
-    for t in range(T):
-        for k in range(K):
+    w, taus = fit.grid.weights, fit.grid.levels
+    c = np.empty((K, T, N))
+    for k in range(K):
+        for t in range(T):
             for i in range(N):
-                c = smoothed_check_curv(X[t, i] - lam[k, i] @ F[t], scfg)
-                naive[t] += w[k] * c * np.outer(lam[k, i], lam[k, i])
-    naive /= N
+                c[k, t, i] = smoothed_check_curv(X[t, i] - lam[k, i] @ F[t], scfg)
+    floored = np.maximum(c, DENSITY_FLOOR)
+    z = NormalDist().inv_cdf(0.975)
+
+    def assert_interval(ci, est, raw, M, middle, n):
+        # the sandwich M^-1 middle M^-1 / n on the floored matrix; the psd
+        # flag on the raw one
+        M_inv = np.linalg.inv(M)
+        cov = M_inv @ middle @ M_inv / n
+        np.testing.assert_allclose(ci.cov, cov, rtol=1e-12, atol=1e-14 * np.abs(cov).max())
+        half = z * np.sqrt(np.diag(cov))
+        np.testing.assert_allclose(ci.lower, est - half, rtol=1e-12, atol=1e-12 * half.max())
+        np.testing.assert_allclose(ci.upper, est + half, rtol=1e-12, atol=1e-12 * half.max())
+        np.testing.assert_array_equal(ci.estimate, est)
+        assert ci.asym.psd == (np.linalg.eigvalsh(raw)[0] >= PSD_TOL)
+
+    def psi_t(cc, t):
+        return sum(w[k] * cc[k, t, i] * np.outer(lam[k, i], lam[k, i])
+                   for k in range(K) for i in range(N)) / N
+
+    naive = np.array([psi_t(c, t) for t in range(T)])
     psi = plug_in_psi(fit, panel, scfg)
     np.testing.assert_allclose(psi, naive, rtol=1e-12, atol=1e-14 * np.abs(naive).max())
-    k, i = 3, 17
-    phi = sum(
-        smoothed_check_curv(X[t, i - 1] - lam[k - 1, i - 1] @ F[t], scfg) * np.outer(F[t], F[t])
-        for t in range(T)
-    ) / T
-    np.testing.assert_allclose(
-        plug_in_phi(fit, panel, scfg, k, i), phi, rtol=1e-12, atol=1e-14 * np.abs(phi).max()
-    )
+    comoments = tau_comoments(fit.grid)
+    omega = sum(w[k] * w[m] * comoments[k, m] * lam[k].T @ lam[m] / N
+                for k in range(K) for m in range(K))
+    for t in range(T):
+        assert_interval(factor_ci(fit, panel, scfg, t + 1), F[t], naive[t],
+                        psi_t(floored, t), omega, N)
+
+    def phi_ki(cc, k, i):
+        return sum(cc[k, t, i] * np.outer(F[t], F[t]) for t in range(T)) / T
+
+    for k, i in [(0, 0), (0, 59), (1, 4), (1, 16), (1, 33), (2, 16), (2, 2), (2, 41),
+                 (0, 27), (1, 50), (2, 59)]:
+        phi = phi_ki(c, k, i)
+        np.testing.assert_allclose(plug_in_phi(fit, panel, scfg, k + 1, i + 1), phi,
+                                   rtol=1e-12, atol=1e-14 * np.abs(phi).max())
+        assert_interval(loading_ci(fit, panel, scfg, k + 1, i + 1), lam[k, i], phi,
+                        phi_ki(floored, k, i), taus[k] * (1 - taus[k]) * np.eye(r), T)
 
 
-def test_ci_validation_and_aspect_warning():
+def _fresh(ci_fn, *args, **kwargs):
+    """An interval computed with no batch to reuse."""
+    smooth._MEMO.clear()
+    return ci_fn(*args, **kwargs)
+
+
+def _assert_same_interval(a, b):
+    for name in ("estimate", "lower", "upper", "cov"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.asym.psd == b.asym.psd and a.level == b.level
+
+
+def test_interval_batch_is_never_reused_for_other_inputs():
     fit, panel, scfg = _ci_fixture()
+    rng = np.random.default_rng(3)
+    base = (fit, panel, scfg)
+    X = np.array(panel.values)
+    # each differs from base in one input; base runs before and after each,
+    # so a batch keyed on too little would be served to it
+    variants = [(FactorFit(F=fit.F + 0.05, loadings=fit.loadings, grid=fit.grid), panel, scfg),
+                (fit, Panel(panel.values + 0.1 * rng.standard_normal(panel.shape)), scfg),
+                (fit, panel, SmoothConfig(kernel=scfg.kernel, bandwidth=2.0 * scfg.h)),
+                (fit, X, scfg)]
+    for ci_fn, idx in [(factor_ci, (5,)), (loading_ci, (2, 7))]:
+        expected = _fresh(ci_fn, *base, *idx)
+        for variant in variants:
+            _assert_same_interval(ci_fn(*base, *idx), expected)
+            got = ci_fn(*variant, *idx)
+            _assert_same_interval(got, _fresh(ci_fn, *variant, *idx))
+            if variant[1] is not X:
+                assert not np.array_equal(got.cov, expected.cov)
+        _assert_same_interval(ci_fn(*base, *idx), expected)
+    # a plain array is read again on every call
+    before = factor_ci(fit, X, scfg, 5)
+    X += 0.1 * rng.standard_normal(X.shape)
+    after = factor_ci(fit, X, scfg, 5)
+    _assert_same_interval(after, _fresh(factor_ci, fit, X, scfg, 5))
+    assert not np.array_equal(after.cov, before.cov)
+    # the level is applied per call, not cached with the batch
+    for level in (0.5, 0.99):
+        for ci_fn, idx in [(factor_ci, (5,)), (loading_ci, (2, 7))]:
+            ci_fn(*base, *idx)
+            _assert_same_interval(ci_fn(*base, *idx, level=level),
+                                  _fresh(ci_fn, *base, *idx, level=level))
+
+
+def test_returned_intervals_belong_to_the_caller():
+    fit, panel, scfg = _ci_fixture()
+    for ci_fn, idx, fields in [(factor_ci, (3,), ("psi_t", "sigma_kk")),
+                               (loading_ci, (1, 8), ("phi_ki",))]:
+        def arrays(ci):
+            return [ci.estimate, ci.lower, ci.upper, ci.cov] + [getattr(ci.asym, f) for f in fields]
+
+        ci = ci_fn(fit, panel, scfg, *idx)
+        kept = [arr.copy() for arr in arrays(ci)]
+        for arr in arrays(ci):
+            arr[...] = 0.0
+        for arr, want in zip(arrays(ci_fn(fit, panel, scfg, *idx)), kept):
+            np.testing.assert_array_equal(arr, want)
+
+
+def test_rank_deficient_loadings_raise_for_every_period_on_every_call():
+    fit, panel, scfg = _ci_fixture()
+    lam = np.array(fit.loadings)
+    lam[:, :, 1] = 0.0  # Psi_t has a zero row at every period
+    flat = FactorFit(F=fit.F, loadings=lam, grid=fit.grid)
+    for t in (4, 4, 9):
+        with pytest.raises(NumericalError, match=f"at period {t} is not positive definite"):
+            factor_ci(flat, panel, scfg, t)
+    loading_ci(flat, panel, scfg, 1, 1)  # Phi_ki does not involve the loadings
+
+
+def test_ci_validation_and_aspect_warning(monkeypatch):
+    fit, panel, scfg = _ci_fixture()
+    factor_ci(fit, panel, scfg, t=1)
+    loading_ci(fit, panel, scfg, k=1, i=1)
+
+    def no_work(*args):
+        raise AssertionError("the arguments are checked before any work")
+
+    # the batches above are reused, and a new one is never started
+    monkeypatch.setattr(smooth, "_residual_curvature", no_work)
     with pytest.raises(ValueError, match="period index"):
         factor_ci(fit, panel, scfg, t=0)
     with pytest.raises(ValueError, match="confidence level"):
         factor_ci(fit, panel, scfg, t=1, level=1.0)
     with pytest.raises(ValueError, match="series index"):
         loading_ci(fit, panel, scfg, k=1, i=61)
+    with pytest.raises(ValueError, match="confidence level"):
+        loading_ci(fit, panel, scfg, k=1, i=1, level=0.0)
+    # so are a new fit and a plain array, which would need a new batch
+    with pytest.raises(ValueError, match="confidence level"):
+        factor_ci(FactorFit(F=fit.F, loadings=fit.loadings, grid=fit.grid), panel, scfg,
+                  t=1, level=2.0)
+    with pytest.raises(ValueError, match="confidence level"):
+        loading_ci(fit, panel.values, scfg, k=1, i=1, level=-1.0)
+    monkeypatch.undo()
 
-    # a long skinny panel triggers the aspect-ratio warning
+    # a long skinny panel triggers the aspect-ratio warning, on every call
     rng = np.random.default_rng(0)
     T, N = 80, 12
     F = rng.standard_normal((T, 1))
@@ -301,8 +420,11 @@ def test_ci_validation_and_aspect_warning():
     g = QuantileGrid((0.5,))
     sc = SmoothConfig.for_sample(T)
     f = fit_smoothed_dafm(p, g, FitConfig(r=1), sc)
-    with pytest.warns(RuntimeWarning, match="aspect ratio"):
-        factor_ci(f, p, sc, t=1)
+    for ci_fn, idx in [(factor_ci, (1,)), (factor_ci, (2,)), (loading_ci, (1, 1)),
+                       (loading_ci, (1, 2))]:
+        with pytest.warns(RuntimeWarning, match="aspect ratio") as record:
+            ci_fn(f, p, sc, *idx)
+        assert record[0].filename == __file__
 
 
 def test_density_floor_rescues_far_out_residuals():
