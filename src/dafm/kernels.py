@@ -19,9 +19,9 @@ v = u^2 on |u| < 1.  With a_2j the even coefficients of k:
 
 ``Kernel`` derives these v-coefficients once.  ``_reduce`` forms u = e/h
 clipped to [-1, 1], v = min(u^2, 1) and the mask |u| >= 1, and
-``_even_vals`` is the one evaluator: Horner in v, in place, with an exact
-edge value on the mask, so that the saturated values outside [-1, 1] are
-exact.  The ``Kernel`` methods and the smoothed-loss cores in ``losses``
+``_even_vals`` is the one evaluator: Horner in v into one new array, with
+an exact edge value on the mask, so that the saturated values outside
+[-1, 1] are exact.  The ``Kernel`` methods and the smoothed-loss cores in ``losses``
 all go through these two.
 """
 
@@ -43,16 +43,26 @@ def _reduce(e, h):
     v = np.multiply(u, u, out=np.empty_like(u))
     outside = v >= 1.0
     np.minimum(v, 1.0, out=v)
-    np.clip(u, -1.0, 1.0, out=u)
+    # the ufuncs in place, not np.clip: the same values without its wrapper
+    np.minimum(u, 1.0, out=u)
+    np.maximum(u, -1.0, out=u)
     return u, v, outside
 
 
 def _even_vals(coef, v, outside, edge):
-    """sum_j coef[j] v^j by Horner in place, and exactly ``edge`` where ``outside``."""
-    out = np.full_like(v, coef[-1])
-    for c in coef[-2::-1]:
-        out *= v
-        out += c
+    """sum_j coef[j] v^j by Horner, and exactly ``edge`` where ``outside``.
+
+    The first step forms v * coef[-1] into a new array, which is the
+    product a fill with coef[-1] followed by ``*= v`` gives, in one pass.
+    """
+    if coef.size == 1:
+        out = np.full_like(v, coef[0])
+    else:
+        out = np.multiply(v, coef[-1], out=np.empty_like(v))
+        out += coef[-2]
+        for c in coef[-3::-1]:
+            out *= v
+            out += c
     np.copyto(out, edge, where=outside)
     return out
 

@@ -15,17 +15,18 @@ on the stacked loadings of period t, Phi_ki on the factors.  Both interval
 kinds share one batched sandwich (``_sandwich``): the psd flags on the raw
 matrices, then inversion of the density-floored ones.  ``factor_ci`` builds
 every period's interval in one pass, ``loading_ci`` every (level, series)
-interval, and later calls with the same fit, ``Panel`` and smoothing config
-reuse that pass (``_memo_batch``); each call applies its own level and
-returns its own arrays.  A plain-array panel is recomputed, for the one
-index asked for, on every call.
+interval, both from one residual curvature, and later calls with the same
+fit, ``Panel`` and smoothing config reuse that pass (``_memo``); each call
+applies its own level and returns its own arrays.  A plain-array panel is
+recomputed, for the one index asked for, on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,15 +110,19 @@ def _smooth_newton(Z, Y, taus, cvec, beta0, h, kernel, max_newton, tol):
     B, r = beta0.shape
     diag = slice(None, None, r + 1)
     ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(-1, r * r)
+    ZT = np.ascontiguousarray(Z.T)
 
     def tau(rows):
         return taus[rows] if np.ndim(taus) == 2 and len(taus) > 1 else taus
 
-    # Residuals and loss sums are formed one row at a time (einsum, row
-    # sums), so a row's objective does not depend on its batch: the Armijo
-    # test compares values from working sets of different sizes.
+    # Residuals and loss sums are formed one row at a time, so a row's
+    # objective does not depend on its batch: the Armijo test compares
+    # values from working sets of different sizes.  The einsum over the
+    # transposed design sums b_0 Z_0 + b_1 Z_1 + ... in that order for every
+    # entry.  ``b @ Z.T`` is not used: BLAS rounds it differently for
+    # different batch sizes.
     def resid(rows, b):
-        return Y[rows] - np.einsum("jr,br->bj", Z, b)
+        return Y[rows] - np.einsum("rj,br->bj", ZT, b)
 
     def loss(rows, e):
         return np.sum(cvec * _sloss_vals(kernel, tau(rows), e, h), axis=1)
@@ -167,7 +172,8 @@ def _smooth_newton(Z, Y, taus, cvec, beta0, h, kernel, max_newton, tol):
                 # minimizer of the quadratic through f(0), f'(0) = gd and f(step),
                 # clipped to [0.1, 0.5] * step; halved where it is not finite
                 quad = -gd * step * step / (2.0 * (obj_new[~ok] - obj[rows] - gd * step))
-                step = np.where(np.isfinite(quad), np.clip(quad, 0.1 * step, 0.5 * step), 0.5 * step)
+                clipped = np.maximum(np.minimum(quad, 0.5 * step), 0.1 * step)
+                step = np.where(np.isfinite(quad), clipped, 0.5 * step)
             todo = todo[~accepted[todo]]
             if todo.size == 0:
                 break
@@ -325,7 +331,8 @@ class _CIBatch:
     """Level-free interval pieces for a stack of indices (periods, or
     (level, series) pairs): estimates, covariances (NaN where ``pd`` is
     false), the density-floored plug-in matrices, the psd flags of the raw
-    ones, the pd flags of the floored ones, and ``sigma`` (factors only)."""
+    ones, the pd flags of the floored ones, ``sigma`` (factors only) and
+    the standard errors sqrt(max(diag(cov), 0))."""
 
     est: np.ndarray
     cov: np.ndarray
@@ -333,6 +340,11 @@ class _CIBatch:
     psd: np.ndarray
     pd: np.ndarray
     sigma: np.ndarray | None = None
+    se: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        diag = np.diagonal(self.cov, axis1=-2, axis2=-1)
+        object.__setattr__(self, "se", np.sqrt(np.maximum(diag, 0.0)))
 
 
 def _sandwich(raw, M, middle, n):
@@ -352,41 +364,65 @@ def _sandwich(raw, M, middle, n):
     return psd, pd, cov
 
 
-def _factor_batch(X, F, lam, grid, scfg):
-    """Factor-interval batch for the periods (rows) of X and F."""
+def _factor_batch(F, lam, grid, C):
+    """Factor-interval batch for the periods (rows) of F and the curvatures C."""
     K, N, r = lam.shape
     wts = grid.weights_array()
-    C = _residual_curvature(X, F, lam, scfg)
     psi = _psi(wts, lam, np.maximum(C, DENSITY_FLOOR))
     L = lam.transpose(0, 2, 1).reshape(K * r, N)
-    sigma = (L @ L.T / N).reshape(K, r, K, r).transpose(0, 2, 1, 3)
+    sigma = np.ascontiguousarray((L @ L.T / N).reshape(K, r, K, r).transpose(0, 2, 1, 3))
     omega = np.einsum("km,kmab->ab", np.outer(wts, wts) * tau_comoments(grid), sigma)
     psd, pd, cov = _sandwich(_psi(wts, lam, C), psi, omega, N)
     return _CIBatch(F, cov, psi, psd, pd, sigma)
 
 
-def _loading_batch(X, F, lam, taus, scfg):
-    """Loading-interval batch for the levels and series of lam (and taus)."""
-    C = _residual_curvature(X, F, lam, scfg)
+def _loading_batch(F, lam, taus, C):
+    """Loading-interval batch for the levels and series of lam (and taus),
+    whose curvatures are C."""
     phi = _phi(F, np.maximum(C, DENSITY_FLOOR))
     middle = (taus * (1.0 - taus))[:, np.newaxis, np.newaxis, np.newaxis] * np.eye(F.shape[1])
     psd, pd, cov = _sandwich(_phi(F, C), phi, middle, F.shape[0])
     return _CIBatch(lam, cov, phi, psd, pd)
 
 
-#: The last batch of each interval kind: (fit ref, Panel ref, SmoothConfig,
-#: batch).  Weak references keep neither the fit nor the panel alive, and a
-#: dead one never matches; both hold read-only arrays, so identity is enough.
+#: The last value of each kind (the residual curvature, and each interval
+#: kind's batch): (fit ref, Panel ref, SmoothConfig, value).  Weak
+#: references keep neither the fit nor the panel alive, and a dead one never
+#: matches; both hold read-only arrays, so identity is enough.
 _MEMO = {}
 
 
-def _memo_batch(kind, fit, panel, scfg, build):
+def _memo(kind, fit, panel, scfg, build):
     slot = _MEMO.get(kind)
-    if slot is not None and slot[0]() is fit and slot[1]() is panel and slot[2] == scfg:
+    if (slot is not None and slot[0]() is fit and slot[1]() is panel
+            and (slot[2] is scfg or slot[2] == scfg)):
         return slot[3]
-    batch = build()
-    _MEMO[kind] = (weakref.ref(fit), weakref.ref(panel), scfg, batch)
-    return batch
+    value = build()
+    _MEMO[kind] = (weakref.ref(fit), weakref.ref(panel), scfg, value)
+    return value
+
+
+def _panel_curvature(fit, panel, scfg, X, F, lam):
+    """The (K, T, N) residual curvature of a ``Panel``, shared by both batches."""
+    return _memo("curvature", fit, panel, scfg, lambda: _residual_curvature(X, F, lam, scfg))
+
+
+@functools.lru_cache(maxsize=16)
+def _normal_quantile(level):
+    """z with P(|N(0, 1)| <= z) = level."""
+    import scipy.special  # imported here: it takes about 0.2 s to import
+
+    return scipy.special.ndtri(0.5 * (1.0 + level))
+
+
+def _frozen(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``, the
+    omitted fields at their defaults.  Its generated ``__init__`` sets each
+    field through ``object.__setattr__``, which costs more than the rest of
+    a reused interval call; these two classes check nothing on creation."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
 
 
 def _ci_at(batch, idx, level, where, **fields):
@@ -396,15 +432,13 @@ def _ci_at(batch, idx, level, where, **fields):
             f"plug-in density matrix {where} is not positive definite; "
             "confidence intervals are unavailable"
         )
-    import scipy.special  # imported here: it takes about 0.2 s to import
-
-    z = scipy.special.ndtri(0.5 * (1.0 + level))  # the standard normal quantile
-    cov = batch.cov[idx].copy()
-    est = batch.est[idx].copy()
-    half = z * np.sqrt(np.maximum(np.diag(cov), 0.0))
-    asym = AsymptoticCov(psd=bool(batch.psd[idx]), **fields)
-    return ConfidenceIntervals(
-        estimate=est, lower=est - half, upper=est + half, level=float(level), cov=cov, asym=asym,
+    level = float(level)
+    est = batch.est[idx]
+    half = _normal_quantile(level) * batch.se[idx]
+    asym = _frozen(AsymptoticCov, psd=bool(batch.psd[idx]), **fields)
+    return _frozen(
+        ConfidenceIntervals, estimate=est.copy(), lower=est - half, upper=est + half,
+        level=level, cov=batch.cov[idx].copy(), asym=asym,
     )
 
 
@@ -427,11 +461,12 @@ def factor_ci(fit, panel, scfg, t, level=0.95):
     _check_level(level)
     _check_aspect(T, N)
     if isinstance(panel, Panel):
-        batch = _memo_batch("factor", fit, panel, scfg,
-                            lambda: _factor_batch(X, F, lam, fit.grid, scfg))
+        batch = _memo("factor", fit, panel, scfg, lambda: _factor_batch(
+            F, lam, fit.grid, _panel_curvature(fit, panel, scfg, X, F, lam)))
         idx = t - 1
     else:
-        batch = _factor_batch(X[t - 1:t], F[t - 1:t], lam, fit.grid, scfg)
+        C = _residual_curvature(X[t - 1:t], F[t - 1:t], lam, scfg)
+        batch = _factor_batch(F[t - 1:t], lam, fit.grid, C)
         idx = 0
     return _ci_at(batch, idx, level, f"at period {t}",
                   psi_t=batch.mats[idx].copy(), sigma_kk=batch.sigma.copy())
@@ -455,13 +490,14 @@ def loading_ci(fit, panel, scfg, k, i, level=0.95):
     _check_index("series", i, N)
     _check_level(level)
     _check_aspect(T, N)
-    taus = fit.grid.levels_array()
     if isinstance(panel, Panel):
-        batch = _memo_batch("loading", fit, panel, scfg,
-                            lambda: _loading_batch(X, F, lam, taus, scfg))
+        batch = _memo("loading", fit, panel, scfg, lambda: _loading_batch(
+            F, lam, fit.grid.levels_array(), _panel_curvature(fit, panel, scfg, X, F, lam)))
         idx = (k - 1, i - 1)
     else:
-        batch = _loading_batch(X[:, i - 1:i], F, lam[k - 1:k, i - 1:i], taus[k - 1:k], scfg)
+        lam_ki = lam[k - 1:k, i - 1:i]
+        C = _residual_curvature(X[:, i - 1:i], F, lam_ki, scfg)
+        batch = _loading_batch(F, lam_ki, fit.grid.levels_array()[k - 1:k], C)
         idx = (0, 0)
     return _ci_at(batch, idx, level, f"for level {k}, series {i}",
                   phi_ki=batch.mats[idx].copy())

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dafm.kernels import Kernel, SmoothConfig, build_kernel, default_bandwidth_exponent
+from dafm.kernels import (
+    Kernel,
+    SmoothConfig,
+    _even_vals,
+    _reduce,
+    build_kernel,
+    default_bandwidth_exponent,
+)
 
 
 @pytest.mark.parametrize("m", [8, 10, 12])
@@ -162,6 +169,55 @@ def test_saturation_is_exact_and_continuous(m):
     for u, surv in ((inside, 0.0), (-inside, 1.0)):
         assert abs(kern.pdf(u)) <= 1e-10 and abs(kern.survival(u) - surv) <= 1e-10
         assert not kern.conforming or abs(kern.deriv(u)) <= 1e-10
+
+
+def _reduce_reference(e, h):
+    """``_reduce`` as first written, with ``np.clip``."""
+    u = np.divide(e, h, out=np.empty(np.shape(e)))
+    v = np.multiply(u, u, out=np.empty_like(u))
+    outside = v >= 1.0
+    np.minimum(v, 1.0, out=v)
+    np.clip(u, -1.0, 1.0, out=u)
+    return u, v, outside
+
+
+def _even_vals_reference(coef, v, outside, edge):
+    """``_even_vals`` as first written: a fill with the last coefficient,
+    then Horner in place."""
+    out = np.full_like(v, coef[-1])
+    for c in coef[-2::-1]:
+        out *= v
+        out += c
+    np.copyto(out, edge, where=outside)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 8, 10, 12])
+def test_reduce_and_even_vals_match_their_reference_formulas(m):
+    # the evaluators skip np.clip's wrapper and the Horner fill; every value
+    # must stay the same, bit for bit
+    kern = build_kernel(m)
+    rng = np.random.default_rng(m)
+    h = 0.37
+    inputs = [rng.standard_normal(200) * 0.5, rng.standard_normal((7, 9)),
+              np.array([h, -h, 2 * h, -2 * h, np.inf, -np.inf, np.nan, 0.0, -0.0]),
+              np.float64(0.1), np.float64(-h), np.float64(np.inf), np.float64(np.nan),
+              np.array(0.2), 0.05]
+    coefs = [kern.pdf_v, kern.deriv_v, kern.surv_v, kern.grad_v, kern.curv_v]
+    if m == 2:
+        assert kern.deriv_v.size == 1  # the one-coefficient case
+    for e in inputs:
+        got, want = _reduce(e, h), _reduce_reference(e, h)
+        assert all(_same_bits(a, b) for a, b in zip(got, want)), e
+        u, v, outside = want
+        for coef in coefs:
+            for edge in (0.0, 0.5):
+                assert _same_bits(_even_vals(coef, v, outside, edge),
+                                  _even_vals_reference(coef, v, outside, edge)), (e, coef)
 
 
 def test_kernel_with_an_odd_coefficient_is_rejected():

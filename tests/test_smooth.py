@@ -460,16 +460,50 @@ def _loading_batch(N=40, T=60, seed=5):
     return solve, 3 * N
 
 
-def test_newton_row_objective_does_not_depend_on_its_batch():
-    # the Armijo test compares objectives from working sets of different
-    # sizes, so a row's objective must be the same in any batch
-    solve, B = _loading_batch()
-    beta, obj, failed = solve(slice(None), np.zeros((B, 2)))
+def _factor_batch(K=5, N=30, T=40, r=3, seed=6):
+    """Smoothed factor subproblems as the factor sweep batches them: row t is
+    period t on the K*N stacked loadings, design row k*N + i at level k with
+    weight w_k, as the ``infer`` workload runs them."""
+    rng = np.random.default_rng(seed)
+    lam = rng.standard_normal((K, N, r))
+    X = rng.standard_normal((T, r)) @ lam[K // 2].T + rng.standard_normal((T, N))
+    taus = np.repeat(np.linspace(0.1, 0.9, K), N)
+    cvec = np.repeat(rng.uniform(0.5, 2.0, K), N)
+    Y = np.tile(X, (1, K))
+    scfg = SmoothConfig.for_sample(T)
+
+    def solve(rows, beta0, max_newton=40):
+        return _smooth_newton(lam.reshape(K * N, r), Y[rows], taus, cvec, beta0,
+                              scfg.h, scfg.kernel, max_newton, 1e-8)
+
+    return solve, T, r
+
+
+def _assert_objective_independent_of_batch(solve, B, r):
+    beta, obj, failed = solve(slice(None), np.zeros((B, r)))
     assert not failed.any()
     for b in range(B):
         beta_b, obj_b, failed_b = solve([b], beta[b:b + 1], max_newton=0)
         assert obj_b[0] == obj[b] and not failed_b[0]
         np.testing.assert_array_equal(beta_b[0], beta[b])
+    rng = np.random.default_rng(1)
+    for size in rng.integers(2, B, 40):
+        rows = np.sort(rng.choice(B, size, replace=False))
+        np.testing.assert_array_equal(solve(rows, beta[rows], max_newton=0)[1], obj[rows])
+
+
+def test_newton_row_objective_does_not_depend_on_its_batch():
+    # the Armijo test compares objectives from working sets of different
+    # sizes, so a row's objective must be the same in any batch
+    solve, B = _loading_batch()
+    _assert_objective_independent_of_batch(solve, B, 2)
+
+
+def test_newton_factor_row_objective_does_not_depend_on_its_batch():
+    # The same with per-observation levels, non-unit weights and r = 3.  The
+    # residuals must not be formed as ``b @ Z.T``: BLAS rounds that product
+    # differently for batches of different sizes.
+    _assert_objective_independent_of_batch(*_factor_batch())
 
 
 def test_newton_rows_that_finished_take_no_step():
