@@ -42,19 +42,36 @@ def _ploss(resid, taus):
 
 
 def _primal_step(a, s, da):
-    """Per problem (last axis), the largest alpha keeping a + alpha*da >= 0
-    and s - alpha*da >= 0: one ratio per entry, a/|da| where da < 0 and
-    s/|da| elsewhere.  A zero or NaN entry of ``da`` never blocks, and a
-    problem with nothing blocking gets inf.  Call under ``np.errstate``."""
-    return np.fmin.reduce(np.where(da < 0.0, a, s) / np.abs(da), axis=-1, initial=np.inf)
+    """Per problem (last axis), the corrector's primal step: ``_STEP_BACKOFF``
+    times the largest alpha keeping a + alpha*da >= 0 and s - alpha*da >= 0,
+    capped at 1, as beta/max(beta, max(-da/a, da/s)).  A zero or NaN entry of
+    ``da`` never blocks, and a problem with nothing blocking gets 1.  Call
+    under ``np.errstate``."""
+    m = np.fmax(-np.fmin.reduce(da / a, axis=-1), np.fmax.reduce(da / s, axis=-1))
+    return _STEP_BACKOFF / np.fmax(_STEP_BACKOFF, m)
 
 
 def _dual_step(z, dz, w, dw):
-    """Per problem (last axis), the largest alpha keeping z + alpha*dz >= 0
-    and w + alpha*dw >= 0, as minus the largest blocking ratio z/dz (dz < 0)
-    or w/dw (dw < 0); inf when nothing blocks.  Call under ``np.errstate``."""
-    return -np.maximum(np.where(dz < 0.0, z / dz, -np.inf).max(axis=-1),
-                       np.where(dw < 0.0, w / dw, -np.inf).max(axis=-1))
+    """Per problem (last axis), the corrector's dual step for z + alpha*dz >= 0
+    and w + alpha*dw >= 0, in the same form: beta/max(beta, max(-dz/z,
+    -dw/w)).  Call under ``np.errstate``."""
+    m = -np.fmin(np.fmin.reduce(dz / z, axis=-1), np.fmin.reduce(dw / w, axis=-1))
+    return _STEP_BACKOFF / np.fmax(_STEP_BACKOFF, m)
+
+
+def _affine_step(a, s, zs, rzw, da, gap):
+    """The predictor's step lengths and duality gap from the primal direction
+    alone, in the closed form `_qreg_ipm` states: ``(alpha_p, alpha_d,
+    gap_aff)`` per problem (last axis), with ``zs`` = z/a + w/s and ``rzw`` =
+    z - w.  NaN ratios never block.  ``gap_aff`` is clamped at 0: the
+    expansion can round slightly below it, the sum of non-negative products
+    it stands for cannot.  Call under ``np.errstate``."""
+    ra, rs = da / a, da / s
+    ap = 1.0 / np.fmax(1.0, np.fmax(-np.fmin.reduce(ra, axis=-1), np.fmax.reduce(rs, axis=-1)))
+    ad = 1.0 / np.fmax(1.0, 1.0 + np.fmax(np.fmax.reduce(ra, axis=-1), -np.fmin.reduce(rs, axis=-1)))
+    gap_aff = ((1.0 - ad) * gap + (ap * (1.0 - ad) - ad) * np.einsum("bj,bj->b", rzw, da)
+               - ap * ad * np.einsum("bj,bj->b", zs * da, da))
+    return ap, ad, np.maximum(gap_aff, 0.0)
 
 
 def _gap(a, z, s, w):
@@ -76,12 +93,21 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
     non-finite.  Returns ``(beta, gap, ok)`` of shapes (B, r), (B,), (B,);
     ``ok`` is False where the gap target was not reached.
 
-    Step rule: per row, the primal step is the smallest a/|da| (da < 0) or
-    s/|da| (da > 0), the dual step the smallest -z/dz (dz < 0) or -w/dw
-    (dw < 0), each capped at 1 and, for the corrector, first shrunk by
-    ``_STEP_BACKOFF``.  A zero or NaN direction entry never limits a step;
-    the divisions by zero entries are expected, and the ``np.errstate`` on
-    the whole solve silences them.
+    Predictor in closed form: the affine dual direction is
+    dz = -z - (z/a)·da, dw = -w + (w/s)·da, so dz/z = -(1 + da/a) and
+    dw/w = -(1 - da/s).  With the ratios da/a and da/s, the affine steps are
+    alpha_p = 1/max(1, max_j(-da/a, da/s)) and alpha_d = 1/max(1, 1 +
+    max_j(da/a, -da/s)), and the affine gap is, from two row sums,
+
+        (1 - alpha_d)·gap + (alpha_p·(1 - alpha_d) - alpha_d)·sum_j (z - w)·da
+            - alpha_p·alpha_d·sum_j (z/a + w/s)·da²
+
+    clamped at 0 (`_affine_step`).  The predictor never forms dz or dw.  The
+    corrector's steps are beta/max(beta, max_j(-da/a, da/s)) and
+    beta/max(beta, max_j(-dz/z, -dw/w)), beta = ``_STEP_BACKOFF``: at most 1,
+    and exactly 1 for a row where nothing blocks.  Zero or NaN direction
+    entries never block; their divisions are expected, and the
+    ``np.errstate`` on the whole solve silences them.
     """
     (B, n), r = Y.shape, Z.shape[1]
     ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(n, r * r)
@@ -102,32 +128,30 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
         if live.size == 0:
             break
         za, ws = z / a, w / s
-        q = 1.0 / (za + ws)
+        zs = za + ws
+        q = 1.0 / zs
         rzw = z - w
         QQ = q @ ZZ
         QQ[:, diag] += 1e-13 * (QQ[:, diag].sum(axis=1, keepdims=True) / r + 1.0)
         Q = QQ.reshape(-1, r, r)
-        # affine scaling (predictor) direction
+        # affine scaling (predictor) direction: only da is formed
         dy = np.linalg.solve(Q, ((q * rzw) @ Z)[..., None])[..., 0]
         da = q * (dy @ Z.T - rzw)
-        dz = -z - za * da
-        dw = -w + ws * da
-        apda = np.minimum(1.0, _primal_step(a, s, da))[:, None] * da
-        ad = np.minimum(1.0, _dual_step(z, dz, w, dw))[:, None]
-        gap_aff = _gap(a + apda, z + ad * dz, s - apda, w + ad * dw)
+        gap_aff = _affine_step(a, s, zs, rzw, da, gap)[2]
         mu = gap / (2.0 * n)
         sigma = np.minimum((gap_aff / gap) ** 3, 1.0)
         smu = (sigma * mu)[:, None]
-        # combined predictor-corrector direction
-        rc1 = smu - a * z - da * dz
-        rc2 = smu - s * w + da * dw
+        # combined predictor-corrector direction; da·(z + (z/a)·da) is -da
+        # times the affine dz, and da·(w - (w/s)·da) is -da times the affine dw
+        rc1 = smu - a * z + da * (z + za * da)
+        rc2 = smu - s * w - da * (w - ws * da)
         rcomb = rc1 / a - rc2 / s
         dy = -np.linalg.solve(Q, ((q * rcomb) @ Z)[..., None])[..., 0]
         da = q * (dy @ Z.T + rcomb)
         dz = (rc1 - z * da) / a
         dw = (rc2 + w * da) / s
-        apda = np.minimum(1.0, _STEP_BACKOFF * _primal_step(a, s, da))[:, None] * da
-        ad = np.minimum(1.0, _STEP_BACKOFF * _dual_step(z, dz, w, dw))[:, None]
+        apda = _primal_step(a, s, da)[:, None] * da
+        ad = _dual_step(z, dz, w, dw)[:, None]
         a = a + apda
         s = s - apda
         b = b + ad * dy

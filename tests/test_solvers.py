@@ -8,8 +8,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dafm.solvers import (
+    _STEP_BACKOFF,
+    _affine_step,
     _exact_solve,
     _factor_sweep,
+    _gap,
     _loading_sweep,
     _dual_step,
     _ploss,
@@ -102,14 +105,17 @@ def test_ploss_matches_scalar_loop():
 
 
 def _scalar_step(x, dx, s, ds):
-    """The step rule entry by entry: the smallest -v/d over the d < 0."""
-    steps = [-v / d for v, d in zip(np.r_[x, s], np.r_[dx, ds]) if d < 0.0]
-    return min(steps, default=1e30)
+    """The corrector's step rule entry by entry: beta over the largest of
+    beta and every -d/v, so a zero or NaN entry (a false comparison) never
+    blocks.  Call under ``np.errstate``."""
+    m = _STEP_BACKOFF
+    for v, d in zip(np.r_[x, s], np.r_[dx, ds]):
+        if -d / v > m:
+            m = -d / v
+    return _STEP_BACKOFF / m
 
 
 def test_step_lengths_match_scalar_loop():
-    # exact equality wherever an entry blocks; a row where nothing blocks
-    # may give inf for the loop's 1e30, which min(1, .) cannot tell apart
     rng = np.random.default_rng(5)
     for n in (1, 7, 300):
         x, s, z, w = rng.uniform(0.1, 2.0, size=(4, 8, n))
@@ -126,10 +132,46 @@ def test_step_lengths_match_scalar_loop():
         with np.errstate(divide="ignore", invalid="ignore"):
             primal = _primal_step(x, s, d)
             dual = _dual_step(z, dz, w, dw)
-        for b in range(8):
-            for got, want in ((primal[b], _scalar_step(x[b], d[b], s[b], -d[b])),
-                              (dual[b], _scalar_step(z[b], dz[b], w[b], dw[b]))):
-                assert got == want or (want == 1e30 and got == np.inf), (n, b, got, want)
+            for b in range(8):
+                for got, want in ((primal[b], _scalar_step(x[b], d[b], s[b], -d[b])),
+                                  (dual[b], _scalar_step(z[b], dz[b], w[b], dw[b]))):
+                    assert got == want, (n, b, got, want)
+        assert np.all(primal[[4, 5, 7]] == 1.0) and np.all(dual[[5, 6, 7]] == 1.0)
+
+
+def test_affine_step_matches_explicit_dual_direction():
+    # the closed form against the predictor written out through the affine
+    # dz and dw, on random interior points
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 300):
+        a, s, z, w = rng.uniform(0.05, 2.0, size=(4, 6, n))
+        da = 3.0 * rng.standard_normal((6, n))
+        da[1] = 0.5 * np.minimum(a[1], s[1]) * rng.uniform(-1.0, 1.0, n)  # only the dual blocks
+        da[2] = 0.0  # nothing blocks: both steps are 1
+        da[3, ::3] = np.nan  # NaN entries never block, but the gap is NaN
+        da[4] = -np.abs(da[4])  # every entry moves a down and s up
+        da[5] = np.abs(da[5])  # and the other way round
+        za, ws, gap = z / a, w / s, _gap(a, z, s, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ap, ad, gap_aff = _affine_step(a, s, za + ws, z - w, da, gap)
+        dz, dw = -z - za * da, -w + ws * da
+        for b in range(6):
+            ok = ~np.isnan(da[b])
+            d, nz, nw = da[b][ok], dz[b][ok], dw[b][ok]
+            want_p = min([1.0, *(a[b][ok][d < 0] / -d[d < 0]), *(s[b][ok][d > 0] / d[d > 0])])
+            want_d = min([1.0, *(z[b][ok][nz < 0] / -nz[nz < 0]), *(w[b][ok][nw < 0] / -nw[nw < 0])])
+            assert ap[b] == pytest.approx(want_p, rel=1e-12, abs=0), (n, b)
+            assert ad[b] == pytest.approx(want_d, rel=1e-12, abs=0), (n, b)
+            if b == 3:
+                assert np.isnan(gap_aff[b])
+                continue
+            want_gap = np.sum((a[b] + want_p * da[b]) * (z[b] + want_d * dz[b])
+                              + (s[b] - want_p * da[b]) * (w[b] + want_d * dw[b]))
+            # relative to the affine gap, and to the current gap where the
+            # affine gap is 0 up to rounding (one entry that blocks both steps)
+            assert gap_aff[b] == pytest.approx(want_gap, rel=1e-12, abs=1e-12 * gap[b]), (n, b)
+        assert ap[1] == 1.0 and ad[1] < 1.0
+        assert ap[2] == ad[2] == 1.0 and gap_aff[2] == 0.0
 
 
 def test_interior_point_leaks_no_warning_and_keeps_error_state():
