@@ -28,8 +28,6 @@ from .smooth import (
     factor_ci,
     fit_smoothed_dafm,
     loading_ci,
-    plug_in_phi,
-    plug_in_psi,
 )
 from .ranksel import RankSelection, default_penalty, select_rank_eigen, select_rank_ic
 from .simgen import (
@@ -70,8 +68,6 @@ __all__ = [
     "factor_ci",
     "fit_smoothed_dafm",
     "loading_ci",
-    "plug_in_phi",
-    "plug_in_psi",
     "RankSelection",
     "default_penalty",
     "select_rank_eigen",

@@ -129,12 +129,6 @@ class FactorFit:
         """Final objective value (nan when the trace is empty)."""
         return self.objective_trace[-1] if self.objective_trace else math.nan
 
-    def common_component(self, k):
-        """T×N fitted quantile surface for 1-based level index ``k``."""
-        if not 1 <= k <= self.loadings.shape[0]:
-            raise ValueError(f"level index must be in 1..{self.loadings.shape[0]}, got {k}")
-        return self.F @ self.loadings[k - 1].T
-
 
 def _column_signs(M):
     """Per-column sign making the largest-magnitude entry positive."""

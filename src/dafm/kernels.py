@@ -12,7 +12,6 @@ Because k is even, every quantity built from it is one short polynomial in
 v = u^2 on |u| < 1.  With a_2j the even coefficients of k:
 
     k(u)              = P(v),      P_j = a_2j
-    k'(u)             = u D(v),    D_j = (2j+2) a_2j+2
     K(u)              = 1/2 - u S(v),  S_j = a_2j / (2j+1)
     K(u) - u k(u)     = 1/2 - u G(v),  G_j = a_2j (2j+2) / (2j+1)
     2 k(u) + u k'(u)  = C(v),      C_j = a_2j (2j+2)
@@ -21,8 +20,8 @@ v = u^2 on |u| < 1.  With a_2j the even coefficients of k:
 clipped to [-1, 1], v = min(u^2, 1) and the mask |u| >= 1, and
 ``_even_vals`` is the one evaluator: Horner in v into one new array, with
 an exact edge value on the mask, so that the saturated values outside
-[-1, 1] are exact.  The ``Kernel`` methods and the smoothed-loss cores in ``losses``
-all go through these two.
+[-1, 1] are exact.  ``Kernel.pdf``, ``Kernel.survival`` and the smoothed-loss
+cores in ``losses`` all go through these two.
 """
 
 from __future__ import annotations
@@ -92,18 +91,16 @@ class Kernel:
     """Polynomial kernel of even order m with support [-1, 1].
 
     coef holds k's ascending polynomial coefficients in s, whose odd entries
-    must be zero.  ``pdf_v``, ``deriv_v``, ``surv_v``, ``grad_v`` and
-    ``curv_v`` are the derived coefficients P, D, S, G and C in v = s^2 (see
-    the module docstring).  ``conforming`` is True when the order admits a
-    bandwidth exponent under 1/m < c < 1/6 (i.e. m >= 8); the m=2
-    Epanechnikov variant exists for unit tests only.  Kernels compare and
-    hash by ``(order, coef)``.
+    must be zero.  ``pdf_v``, ``surv_v``, ``grad_v`` and ``curv_v`` are the
+    derived coefficients P, S, G and C in v = s^2 (see the module
+    docstring).  Orders m >= 8 admit a bandwidth exponent under
+    1/m < c < 1/6; the m=2 Epanechnikov variant exists for unit tests only.
+    Kernels compare and hash by ``(order, coef)``.
     """
 
     order: int
     coef: np.ndarray
     pdf_v: np.ndarray = field(init=False, repr=False, compare=False)
-    deriv_v: np.ndarray = field(init=False, repr=False, compare=False)
     surv_v: np.ndarray = field(init=False, repr=False, compare=False)
     grad_v: np.ndarray = field(init=False, repr=False, compare=False)
     curv_v: np.ndarray = field(init=False, repr=False, compare=False)
@@ -117,7 +114,6 @@ class Kernel:
         derived = dict(
             coef=coef,
             pdf_v=a,
-            deriv_v=a[1:] * twoj[1:],
             surv_v=a / (twoj + 1.0),
             grad_v=a * (twoj + 2.0) / (twoj + 1.0),
             curv_v=a * (twoj + 2.0),
@@ -135,10 +131,6 @@ class Kernel:
     def __hash__(self):
         return hash(self._key())
 
-    @property
-    def conforming(self):
-        return self.order >= 8
-
     def pdf(self, u):
         _, v, outside = _reduce(np.asarray(u, dtype=float), 1.0)
         return _scalar_out(_even_vals(self.pdf_v, v, outside, 0.0))
@@ -151,19 +143,13 @@ class Kernel:
         np.subtract(0.5, out, out=out)
         return _scalar_out(out)
 
-    def deriv(self, u):
-        u, v, outside = _reduce(np.asarray(u, dtype=float), 1.0)
-        out = _even_vals(self.deriv_v, v, outside, 0.0)
-        out *= u
-        return _scalar_out(out)
-
 
 def build_kernel(m):
     """Construct the order-m kernel.
 
     m must be even with m >= 8 (Assumption-compatible orders); m=2 returns the
-    Epanechnikov kernel for unit tests, flagged non-conforming.  Orders 4 and 6
-    are rejected: no admissible bandwidth exponent exists below order 8.
+    Epanechnikov kernel, for unit tests only.  Orders 4 and 6 are rejected:
+    no admissible bandwidth exponent exists below order 8.
     """
     m = int(m)
     if m == 2:

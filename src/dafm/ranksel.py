@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .estimator import FitConfig, _fit_raw
-from .losses import composite_objective
 from .panel import as_panel
 
 __all__ = ["RankSelection", "select_rank_ic", "select_rank_eigen", "default_penalty"]
@@ -80,8 +79,7 @@ def select_rank_ic(panel, grid, s_max=None, penalty=None, cfg=None):
     one-factor objective.  Ties break toward the smaller count; candidates
     that stop at the iteration cap still enter the criterion, with a warning.
     """
-    panel = as_panel(panel)
-    X = panel.values
+    X = as_panel(panel).values
     T, N = X.shape
     s_max = _resolve_s_max(s_max, N, T)
     if penalty is not None and not (penalty > 0 and math.isfinite(penalty)):
@@ -92,8 +90,8 @@ def select_rank_ic(panel, grid, s_max=None, penalty=None, cfg=None):
     objectives = np.empty(s_max)
     flags = []
     for ell in range(1, s_max + 1):
-        F, lam, trace, converged = _fit_raw(X, grid, replace(cfg, r=ell))
-        objectives[ell - 1] = composite_objective(panel, F, lam, grid)
+        _, _, trace, converged = _fit_raw(X, grid, replace(cfg, r=ell))
+        objectives[ell - 1] = trace[-1]
         flags.append(bool(converged))
     if not all(flags):
         bad = [ell + 1 for ell, ok in enumerate(flags) if not ok]

@@ -42,8 +42,6 @@ __all__ = [
     "AsymptoticCov",
     "ConfidenceIntervals",
     "fit_smoothed_dafm",
-    "plug_in_psi",
-    "plug_in_phi",
     "factor_ci",
     "loading_ci",
     "tau_comoments",
@@ -279,27 +277,6 @@ def _residual_curvature(X, F, lam, scfg):
     """Curvature at every fitted residual X - F lam_k', shape (K, T, N): the
     kernel estimate of each conditional density at its fitted quantile."""
     return _scurv_vals(scfg.kernel, X - F @ lam.transpose(0, 2, 1), scfg.h)
-
-
-def plug_in_psi(fit, panel, scfg):
-    """Per-period loading-weighted density matrices, shape (T, r, r).
-
-    Entry t is (1/N) sum_k sum_i w_k * c_kit * lam_ki lam_ki' where c_kit is
-    the smoothed-loss curvature at the fitted residual — a kernel estimate
-    of the conditional density of series i at its fitted level-k quantile.
-    Values are the raw signed averages; consumers that invert them apply the
-    density floor first.
-    """
-    X, F, lam = _fit_arrays(fit, panel)
-    return _psi(fit.grid.weights_array(), lam, _residual_curvature(X, F, lam, scfg))
-
-
-def plug_in_phi(fit, panel, scfg, k, i):
-    """Density-weighted factor second moment for 1-based level k, series i."""
-    X, F, lam = _fit_arrays(fit, panel)
-    _check_index("level", k, lam.shape[0])
-    _check_index("series", i, lam.shape[1])
-    return _phi(F, _residual_curvature(X[:, i - 1:i], F, lam[k - 1:k, i - 1:i], scfg))[0, 0]
 
 
 def tau_comoments(grid):

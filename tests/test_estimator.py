@@ -150,17 +150,6 @@ def test_objective_property_matches_recomputation():
     assert recomputed == pytest.approx(fit.objective, abs=1e-12)
 
 
-def test_common_component_accessor():
-    p = _panel(7)
-    fit = fit_dafm(p, GRID3, FitConfig(r=1))
-    cc = fit.common_component(2)
-    np.testing.assert_allclose(cc, fit.F @ fit.loadings[1].T)
-    with pytest.raises(ValueError, match="level index"):
-        fit.common_component(0)
-    with pytest.raises(ValueError, match="level index"):
-        fit.common_component(4)
-
-
 def test_factor_fit_holds_read_only_copies():
     F, lam = np.zeros((4, 1)), np.ones((1, 3, 1))
     fit = FactorFit(F=F, loadings=lam, grid=QuantileGrid((0.5,)))
@@ -180,7 +169,7 @@ def test_noiseless_panel_recovers_quantile_surface():
     L = rng.standard_normal((18, 2))
     p = Panel(F @ L.T)
     fit = fit_qfm(p, 0.5, FitConfig(r=2))
-    np.testing.assert_allclose(fit.common_component(1), p.values, atol=1e-7)
+    np.testing.assert_allclose(fit.F @ fit.loadings[0].T, p.values, atol=1e-7)
 
 
 def test_random_orthonormal_init_reaches_comparable_objective():

@@ -19,6 +19,7 @@ from dafm.kernels import (
     build_kernel,
     default_bandwidth_exponent,
 )
+from dafm.losses import _scurv_vals
 
 
 @pytest.mark.parametrize("m", [8, 10, 12])
@@ -37,7 +38,9 @@ def test_moments_by_quadrature(m):
 def test_epanechnikov_test_variant():
     kern = build_kernel(2)
     assert kern.order == 2
-    assert not kern.conforming
+    # no bandwidth exponent is admissible below order 8
+    with pytest.raises(ValueError, match="no admissible bandwidth exponent"):
+        default_bandwidth_exponent(kern.order)
     np.testing.assert_allclose(kern.pdf(0.0), 0.75)
     total, _ = quad(kern.pdf, -1, 1)
     assert abs(total - 1.0) <= 1e-12
@@ -52,11 +55,12 @@ def test_rejected_orders():
 
 
 def test_smoothness_at_support_edges():
-    # k and k' vanish at +-1: the (1-s^2)^3 factor guarantees C^2 glue
+    # k and k' vanish at +-1: the (1-s^2)^3 factor guarantees C^2 glue, so
+    # the curvature 2 k(u) + u k'(u) vanishes there too
     kern = build_kernel(8)
     assert abs(kern.pdf(1.0 - 1e-9)) < 1e-6
-    assert abs(kern.deriv(1.0 - 1e-9)) < 1e-5
-    assert kern.pdf(1.5) == 0.0 and kern.deriv(-2.0) == 0.0
+    assert abs(_scurv_vals(kern, 1.0 - 1e-9, 1.0)) < 1e-5
+    assert kern.pdf(1.5) == 0.0 and _scurv_vals(kern, -2.0, 1.0) == 0.0
 
 
 def test_survival_matches_quadrature():
@@ -76,12 +80,13 @@ def test_survival_derivative_is_minus_pdf():
     np.testing.assert_allclose(fd, -kern.pdf(u), atol=1e-6)
 
 
-def test_deriv_matches_pdf_finite_difference():
+def test_curvature_matches_pdf_finite_difference():
+    # at h = 1 the smoothed-loss curvature is 2 k(u) + u k'(u)
     kern = build_kernel(10)
     u = np.linspace(-0.9, 0.9, 37)
     eps = 1e-6
     fd = (kern.pdf(u + eps) - kern.pdf(u - eps)) / (2 * eps)
-    np.testing.assert_allclose(fd, kern.deriv(u), atol=1e-4)
+    np.testing.assert_allclose(2.0 * kern.pdf(u) + u * fd, _scurv_vals(kern, u, 1.0), atol=1e-4)
 
 
 def test_kernel_is_even():
@@ -118,7 +123,7 @@ def test_smooth_config_validation():
 
 
 def _exact_kernel(coef, u):
-    """k(u), K(u), k'(u) of the float coefficients, evaluated over Fractions,
+    """k(u) and K(u) of the float coefficients, evaluated over Fractions,
     and for each the sum of its terms' absolute values (the scale of the
     rounding error any evaluation in floating point makes)."""
     u = Fraction(u)
@@ -127,14 +132,12 @@ def _exact_kernel(coef, u):
     scale = (
         sum(abs(ci) * a**i for i, ci in enumerate(c)),
         Fraction(1, 2) + sum(abs(ci) / (i + 1) * a ** (i + 1) for i, ci in enumerate(c)),
-        sum(i * abs(ci) * a ** (i - 1) for i, ci in enumerate(c) if i),
     )
     if a >= 1:
-        return (0, 1 if u < 0 else 0, 0), scale
+        return (0, 1 if u < 0 else 0), scale
     values = (
         sum(ci * u**i for i, ci in enumerate(c)),
         Fraction(1, 2) - sum(ci / (i + 1) * u ** (i + 1) for i, ci in enumerate(c)),
-        sum(i * ci * u ** (i - 1) for i, ci in enumerate(c) if i),
     )
     return values, scale
 
@@ -146,7 +149,7 @@ EDGE_POINTS = np.r_[np.linspace(-1.25, 1.25, 51), -1.0, 1.0, np.nextafter(1.0, 0
 @pytest.mark.parametrize("m", [2, 8, 10, 12])
 def test_even_power_evaluator_matches_exact_polynomial(m):
     kern = build_kernel(m)
-    for method, j in ((kern.pdf, 0), (kern.survival, 1), (kern.deriv, 2)):
+    for method, j in ((kern.pdf, 0), (kern.survival, 1)):
         got = method(EDGE_POINTS)
         for u, val in zip(EDGE_POINTS, got):
             values, scale = _exact_kernel(kern.coef, u)
@@ -160,15 +163,16 @@ def test_saturation_is_exact_and_continuous(m):
     kern = build_kernel(m)
     out = np.array([1.0, 1.5, 40.0, np.inf])
     for u in (out, -out):
-        assert np.all(kern.pdf(u) == 0.0) and np.all(kern.deriv(u) == 0.0)
+        assert np.all(kern.pdf(u) == 0.0) and np.all(_scurv_vals(kern, u, 1.0) == 0.0)
     assert np.all(kern.survival(out) == 0.0) and np.all(kern.survival(-out) == 1.0)
     # just inside the support k and K are already at their saturated values,
-    # and so is k' where the (1 - s^2)^3 factor makes k continuously
-    # differentiable (the order-2 test kernel's k' jumps at the edges)
+    # and so is the curvature 2 k + u k' where the (1 - s^2)^3 factor makes k
+    # continuously differentiable (the order-2 test kernel's k' jumps at the
+    # edges)
     inside = 1.0 - 2.0**-40
     for u, surv in ((inside, 0.0), (-inside, 1.0)):
         assert abs(kern.pdf(u)) <= 1e-10 and abs(kern.survival(u) - surv) <= 1e-10
-        assert not kern.conforming or abs(kern.deriv(u)) <= 1e-10
+        assert m < 8 or abs(_scurv_vals(kern, u, 1.0)) <= 1e-10
 
 
 def _reduce_reference(e, h):
@@ -207,9 +211,8 @@ def test_reduce_and_even_vals_match_their_reference_formulas(m):
               np.array([h, -h, 2 * h, -2 * h, np.inf, -np.inf, np.nan, 0.0, -0.0]),
               np.float64(0.1), np.float64(-h), np.float64(np.inf), np.float64(np.nan),
               np.array(0.2), 0.05]
-    coefs = [kern.pdf_v, kern.deriv_v, kern.surv_v, kern.grad_v, kern.curv_v]
-    if m == 2:
-        assert kern.deriv_v.size == 1  # the one-coefficient case
+    # the last is the one-coefficient case
+    coefs = [kern.pdf_v, kern.surv_v, kern.grad_v, kern.curv_v, kern.pdf_v[:1]]
     for e in inputs:
         got, want = _reduce(e, h), _reduce_reference(e, h)
         assert all(_same_bits(a, b) for a, b in zip(got, want)), e

@@ -8,13 +8,12 @@ import pytest
 from dafm.grids import QuantileGrid
 from dafm.kernels import SmoothConfig, build_kernel
 from dafm.losses import (
+    _scurv_vals,
+    _sgrad_curv_vals,
+    _sloss_vals,
+    _smoothed_objective_core,
     check_loss,
     composite_objective,
-    smoothed_check_curv,
-    smoothed_check_grad,
-    smoothed_check_loss,
-    smoothed_composite_objective,
-    _sgrad_curv_vals,
 )
 from dafm.panel import Panel
 
@@ -78,12 +77,20 @@ def _scfg(h=0.7):
     return SmoothConfig(kernel=build_kernel(8), bandwidth=h)
 
 
+def _loss(e, tau, scfg):
+    return _sloss_vals(scfg.kernel, tau, e, scfg.h)
+
+
+def _grad(e, tau, scfg):
+    return _sgrad_curv_vals(scfg.kernel, tau, e, scfg.h)[0]
+
+
 def test_smoothed_equals_plain_outside_bandwidth():
     # exact equality, not approximate: K saturates at 0/1 for |e| >= h
     scfg = _scfg(0.5)
+    e = np.array([0.5, -0.5, 0.7, -2.0, 13.0])
     for tau in (0.1, 0.5, 0.85):
-        for e in (0.5, -0.5, 0.7, -2.0, 13.0):
-            assert smoothed_check_loss(e, tau, scfg) == check_loss(e, tau)
+        np.testing.assert_array_equal(_loss(e, tau, scfg), check_loss(e, tau))
 
 
 def test_smoothed_loss_below_plain_for_nonnegative_kernel():
@@ -91,7 +98,7 @@ def test_smoothed_loss_below_plain_for_nonnegative_kernel():
     # higher orders have negative kernel lobes and lose this property
     scfg = SmoothConfig(kernel=build_kernel(2), bandwidth=1.0)
     e = np.linspace(-0.99, 0.99, 101)
-    s = smoothed_check_loss(e, 0.3, scfg)
+    s = _loss(e, 0.3, scfg)
     c = check_loss(e, 0.3)
     assert np.all(s <= c + 1e-12)
 
@@ -101,7 +108,7 @@ def test_smoothed_loss_deviation_is_order_h():
     for h in (1.0, 0.25):
         scfg = _scfg(h)
         e = np.linspace(-h, h, 201)
-        gap = np.abs(smoothed_check_loss(e, 0.3, scfg) - check_loss(e, 0.3))
+        gap = np.abs(_loss(e, 0.3, scfg) - check_loss(e, 0.3))
         kmax = np.abs(scfg.kernel.survival(np.linspace(-1, 1, 512))).max()
         assert gap.max() <= (1.0 + kmax) * h
 
@@ -112,11 +119,8 @@ def test_smoothed_grad_matches_central_differences():
     pts = rng.uniform(-2.0, 2.0, size=100)
     eps = 1e-6
     for tau in (0.25, 0.5, 0.9):
-        g = smoothed_check_grad(pts, tau, scfg)
-        fd = (
-            smoothed_check_loss(pts + eps, tau, scfg)
-            - smoothed_check_loss(pts - eps, tau, scfg)
-        ) / (2 * eps)
+        g = _grad(pts, tau, scfg)
+        fd = (_loss(pts + eps, tau, scfg) - _loss(pts - eps, tau, scfg)) / (2 * eps)
         rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() <= 1e-5
 
@@ -125,17 +129,11 @@ def test_smoothed_curv_matches_grad_differences():
     scfg = _scfg(0.8)
     pts = np.linspace(-1.5, 1.5, 61)
     eps = 1e-6
-    curv = smoothed_check_curv(pts, scfg)
-    fd = (
-        smoothed_check_grad(pts + eps, 0.4, scfg)
-        - smoothed_check_grad(pts - eps, 0.4, scfg)
-    ) / (2 * eps)
+    curv = _scurv_vals(scfg.kernel, pts, scfg.h)
+    fd = (_grad(pts + eps, 0.4, scfg) - _grad(pts - eps, 0.4, scfg)) / (2 * eps)
     np.testing.assert_allclose(curv, fd, atol=1e-5)
     # curvature does not depend on the level
-    fd2 = (
-        smoothed_check_grad(pts + eps, 0.9, scfg)
-        - smoothed_check_grad(pts - eps, 0.9, scfg)
-    ) / (2 * eps)
+    fd2 = (_grad(pts + eps, 0.9, scfg) - _grad(pts - eps, 0.9, scfg)) / (2 * eps)
     np.testing.assert_allclose(fd, fd2, atol=1e-8)
 
 
@@ -153,10 +151,11 @@ def test_smoothed_composite_objective_matches_naive():
         for i in range(N):
             for t in range(T):
                 e = X[t, i] - lam[k, i] @ F[t]
-                total += w * smoothed_check_loss(e, tau, scfg)
+                total += w * _loss(e, tau, scfg)
     naive = total / (N * T)
 
-    val = smoothed_composite_objective(Panel(X), F, lam, grid, scfg)
+    val = _smoothed_objective_core(X, F, lam, grid.levels_array(), grid.weights_array(),
+                                   scfg.h, scfg.kernel)
     assert val == pytest.approx(naive, rel=1e-12)
 
 
@@ -183,23 +182,23 @@ def test_smoothed_cores_match_exact_polynomial(m):
     scfg = SmoothConfig(kernel=build_kernel(m), bandwidth=h)
     e = h * np.r_[np.linspace(-1.3, 1.3, 41), -1.0, 1.0, np.nextafter(1.0, 0.0), 0.0]
     for tau in (0.1, 0.5, 0.9):
-        got = (smoothed_check_loss(e, tau, scfg), smoothed_check_grad(e, tau, scfg),
-               smoothed_check_curv(e, scfg))
+        got = (_loss(e, tau, scfg), _grad(e, tau, scfg), _scurv_vals(scfg.kernel, e, h))
         for j in range(3):
             for ej, val in zip(e, got[j]):
                 values, scale = _exact_cores(scfg.kernel.coef, tau, ej, h)
                 assert abs(val - float(values[j])) <= 1e-13 * float(scale), (j, tau, ej)
 
 
-def test_fused_gradient_and_curvature_equal_the_public_ones():
+def test_fused_gradient_and_curvature_match_the_per_level_calls():
     scfg = _scfg(0.5)
     rng = np.random.default_rng(3)
     e = rng.uniform(-0.8, 0.8, size=(4, 30))
     taus = np.array([0.1, 0.3, 0.5, 0.9])[:, None]
     grad, curv = _sgrad_curv_vals(scfg.kernel, taus, e, scfg.h)
+    # a level column broadcast over the rows gives each row's scalar-level values
     for b in range(4):
-        np.testing.assert_array_equal(grad[b], smoothed_check_grad(e[b], taus[b, 0], scfg))
-    np.testing.assert_array_equal(curv, smoothed_check_curv(e, scfg))
+        np.testing.assert_array_equal(grad[b], _grad(e[b], taus[b, 0], scfg))
+    np.testing.assert_array_equal(curv, _scurv_vals(scfg.kernel, e, scfg.h))
     # outside the band the derivative is exactly tau or tau - 1
     t = np.broadcast_to(taus, e.shape)
     np.testing.assert_array_equal(grad[e >= scfg.h], t[e >= scfg.h])

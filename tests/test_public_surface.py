@@ -1,0 +1,35 @@
+"""The package's public names: every exported name resolves, and the
+smoothed-loss, kernel and plug-in wrappers that had no caller stay gone."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import dafm
+from dafm import losses, smooth
+from dafm.estimator import FactorFit
+from dafm.kernels import build_kernel
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dafm.__all__ if not hasattr(dafm, name)]
+    for info in pkgutil.iter_modules(dafm.__path__):
+        module = importlib.import_module(f"dafm.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("owner, names", [
+    (dafm, ("plug_in_psi", "plug_in_phi")),
+    (losses, ("smoothed_check_loss", "smoothed_check_grad", "smoothed_check_curv",
+              "smoothed_composite_objective", "_sgrad_vals")),
+    (smooth, ("plug_in_psi", "plug_in_phi")),
+    (build_kernel(8), ("deriv", "deriv_v", "conforming")),
+    (FactorFit, ("common_component",)),
+], ids=["dafm", "losses", "smooth", "Kernel", "FactorFit"])
+def test_deleted_wrappers_stay_deleted(owner, names):
+    exported = getattr(owner, "__all__", ())
+    for name in names:
+        assert not hasattr(owner, name) and name not in exported, name

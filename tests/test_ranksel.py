@@ -1,13 +1,15 @@
 """Factor-count selection: penalty arithmetic, eigen spectra, edge cases."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dafm.errors import NumericalError
-from dafm.estimator import FitConfig, fit_dafm
+from dafm.estimator import FitConfig, _fit_raw, fit_dafm
 from dafm.grids import QuantileGrid
+from dafm.losses import composite_objective
 from dafm.panel import Panel
 from dafm.ranksel import default_penalty, select_rank_eigen, select_rank_ic
 from dafm.simgen import ErrorDist
@@ -89,8 +91,6 @@ def test_eigen_trace_identity():
     s_max = 4
     cfg = FitConfig(r=s_max)
     sel = select_rank_eigen(p, GRID, s_max=s_max, cfg=cfg)
-    from dafm.estimator import _fit_raw
-
     F, lam, _, _ = _fit_raw(p.values, GRID, FitConfig(r=s_max))
     T, N = p.shape
     A = F.T @ F / T
@@ -145,6 +145,19 @@ def test_ic_criteria_are_objective_plus_linear_penalty():
     objectives = sel.criteria - pen * np.arange(1, 4)
     assert np.all(np.diff(objectives) <= 1e-8)
     assert sel.penalty == pen
+
+
+@pytest.mark.parametrize("cfg", [FitConfig(r=1), FitConfig(r=1, max_outer=2)])
+def test_ic_criteria_hold_each_candidate_fits_objective(cfg):
+    # each candidate enters with the composite objective of the fit it ran,
+    # bit for bit, whether that fit converged or stopped at the cap
+    p = _noisy_panel(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sel = select_rank_ic(p, GRID, s_max=3, cfg=cfg)
+    for ell in range(1, 4):
+        F, lam, _, _ = _fit_raw(p.values, GRID, replace(cfg, r=ell))
+        assert sel.criteria[ell - 1] == composite_objective(p, F, lam, GRID) + ell * sel.penalty
 
 
 def test_s_max_default_and_validation():

@@ -20,12 +20,7 @@ from dafm.estimator import FactorFit, FitConfig, fit_dafm
 from dafm.evalmetrics import adjusted_r2
 from dafm.grids import QuantileGrid
 from dafm.kernels import SmoothConfig, build_kernel
-from dafm.losses import (
-    composite_objective,
-    smoothed_check_curv,
-    smoothed_check_grad,
-    smoothed_composite_objective,
-)
+from dafm.losses import _scurv_vals, _sgrad_curv_vals, _smoothed_objective_core, composite_objective
 from dafm.panel import Panel, save_panel
 from dafm.simgen import ErrorDist, density_weights, gen_location_scale_shift, gen_location_shift
 import dafm.smooth as smooth
@@ -36,8 +31,6 @@ from dafm.smooth import (
     factor_ci,
     fit_smoothed_dafm,
     loading_ci,
-    plug_in_phi,
-    plug_in_psi,
     tau_comoments,
 )
 
@@ -83,7 +76,8 @@ def test_smoothed_and_base_fits_agree_on_the_factor_space():
 def test_vanishing_bandwidth_recovers_the_exact_objective():
     panel, _, grid, cfg, base, _, _ = _t2_fits()
     tiny = SmoothConfig(kernel=build_kernel(8), bandwidth=1e-8)
-    s = smoothed_composite_objective(panel, base.F, base.loadings, grid, tiny)
+    s = _smoothed_objective_core(panel.values, base.F, base.loadings, grid.levels_array(),
+                                 grid.weights_array(), tiny.h, tiny.kernel)
     m = composite_objective(panel, base.F, base.loadings, grid)
     assert s == pytest.approx(m, abs=1e-10)
     # refining at a vanishing bandwidth cannot leave the unsmoothed solution
@@ -103,9 +97,9 @@ def test_component_distance_shrinks_with_the_bandwidth():
             panel, grid, cfg, SmoothConfig(kernel=kern, bandwidth=h), init_fit=base
         )
         return max(
-            np.linalg.norm(sm.common_component(k) - base.common_component(k))
+            np.linalg.norm(sm.F @ sm.loadings[k].T - base.F @ base.loadings[k].T)
             / np.sqrt(50 * 50)
-            for k in range(1, 6)
+            for k in range(5)
         )
 
     assert dist_at(0.01) < dist_at(0.5)
@@ -134,6 +128,11 @@ def _known_fit(seed=0, T=400, N=500, r=2):
     return fit, Panel(X), lam
 
 
+def _raw_curvature(fit, panel, scfg):
+    """The (K, T, N) residual curvature that both plug-in matrices weight."""
+    return smooth._residual_curvature(panel.values, fit.F, fit.loadings, scfg)
+
+
 def test_plug_in_psi_recovers_uniform_density():
     # uniform(-5,5) errors have constant density 0.1; with h=4 the curvature
     # kernel integrates the density, so Psi_t -> 0.1 * Lambda'Lambda / N.
@@ -141,7 +140,7 @@ def test_plug_in_psi_recovers_uniform_density():
     # individual periods loosely.
     fit, panel, lam = _known_fit()
     scfg = SmoothConfig(kernel=build_kernel(8), bandwidth=4.0)
-    psi = plug_in_psi(fit, panel, scfg)
+    psi = smooth._psi(fit.grid.weights_array(), fit.loadings, _raw_curvature(fit, panel, scfg))
     assert psi.shape == (400, 2, 2)
     target = 0.1 * lam[0].T @ lam[0] / lam.shape[1]
     scale = np.abs(target).max()
@@ -158,16 +157,11 @@ def test_plug_in_phi_recovers_uniform_density():
     scfg = SmoothConfig(kernel=build_kernel(8), bandwidth=4.0)
     target = 0.1 * fit.F.T @ fit.F / panel.n_periods
     scale = np.abs(target).max()
-    phis = np.array(
-        [plug_in_phi(fit, panel, scfg, k=1, i=i) for i in range(1, panel.n_series + 1)]
-    )
+    phis = smooth._phi(fit.F, _raw_curvature(fit, panel, scfg))[0]
+    assert phis.shape == (500, 2, 2)
     assert np.abs(phis.mean(axis=0) - target).max() / scale < 0.1
     single_errs = np.abs(phis - target).max(axis=(1, 2)) / scale
     assert np.median(single_errs) < 0.6
-    with pytest.raises(ValueError, match="level index"):
-        plug_in_phi(fit, panel, scfg, k=2, i=3)
-    with pytest.raises(ValueError, match="series index"):
-        plug_in_phi(fit, panel, scfg, k=1, i=0)
 
 
 def test_tau_comoments_hand_values():
@@ -225,7 +219,7 @@ def test_loading_ci_matches_manual_sandwich():
     phi = ci.asym.phi_ki
     cov = tau * (1 - tau) * (np.linalg.inv(phi) @ np.linalg.inv(phi)) / panel.n_periods
     np.testing.assert_allclose(ci.cov, cov, rtol=1e-12, atol=1e-15)
-    raw = plug_in_phi(fit, panel, scfg, k=2, i=5)
+    raw = smooth._phi(fit.F, _raw_curvature(fit, panel, scfg))[1, 4]
     assert np.linalg.eigvalsh(phi)[0] > 0.0
     assert raw.shape == phi.shape
     np.testing.assert_array_equal(ci.estimate, fit.loadings[1, 4])
@@ -271,7 +265,7 @@ def test_plug_in_matrices_match_naive_loops():
     for k in range(K):
         for t in range(T):
             for i in range(N):
-                c[k, t, i] = smoothed_check_curv(X[t, i] - lam[k, i] @ F[t], scfg)
+                c[k, t, i] = _scurv_vals(scfg.kernel, X[t, i] - lam[k, i] @ F[t], scfg.h)
     floored = np.maximum(c, DENSITY_FLOOR)
     z = NormalDist().inv_cdf(0.975)
 
@@ -292,7 +286,8 @@ def test_plug_in_matrices_match_naive_loops():
                    for k in range(K) for i in range(N)) / N
 
     naive = np.array([psi_t(c, t) for t in range(T)])
-    psi = plug_in_psi(fit, panel, scfg)
+    raw = _raw_curvature(fit, panel, scfg)
+    psi = smooth._psi(fit.grid.weights_array(), lam, raw)
     np.testing.assert_allclose(psi, naive, rtol=1e-12, atol=1e-14 * np.abs(naive).max())
     comoments = tau_comoments(fit.grid)
     omega = sum(w[k] * w[m] * comoments[k, m] * lam[k].T @ lam[m] / N
@@ -304,10 +299,11 @@ def test_plug_in_matrices_match_naive_loops():
     def phi_ki(cc, k, i):
         return sum(cc[k, t, i] * np.outer(F[t], F[t]) for t in range(T)) / T
 
+    phis = smooth._phi(F, raw)
     for k, i in [(0, 0), (0, 59), (1, 4), (1, 16), (1, 33), (2, 16), (2, 2), (2, 41),
                  (0, 27), (1, 50), (2, 59)]:
         phi = phi_ki(c, k, i)
-        np.testing.assert_allclose(plug_in_phi(fit, panel, scfg, k + 1, i + 1), phi,
+        np.testing.assert_allclose(phis[k, i], phi,
                                    rtol=1e-12, atol=1e-14 * np.abs(phi).max())
         assert_interval(loading_ci(fit, panel, scfg, k + 1, i + 1), lam[k, i], phi,
                         phi_ki(floored, k, i), taus[k] * (1 - taus[k]) * np.eye(r), T)
@@ -399,6 +395,8 @@ def test_ci_validation_and_aspect_warning(monkeypatch):
         factor_ci(fit, panel, scfg, t=0)
     with pytest.raises(ValueError, match="confidence level"):
         factor_ci(fit, panel, scfg, t=1, level=1.0)
+    with pytest.raises(ValueError, match="level index"):
+        loading_ci(fit, panel, scfg, k=4, i=1)
     with pytest.raises(ValueError, match="series index"):
         loading_ci(fit, panel, scfg, k=1, i=61)
     with pytest.raises(ValueError, match="confidence level"):
@@ -435,7 +433,7 @@ def test_density_floor_rescues_far_out_residuals():
     lam = fit.loadings.copy()
     lam[:, 0, :] += 50.0  # series 1 residuals are now huge at every level
     shifted = FactorFit(F=fit.F, loadings=lam, grid=fit.grid)
-    phi_raw = plug_in_phi(shifted, panel, scfg, k=1, i=1)
+    phi_raw = smooth._phi(shifted.F, _raw_curvature(shifted, panel, scfg))[0, 0]
     assert np.abs(phi_raw).max() == 0.0  # every curvature vanished
     ci = loading_ci(shifted, panel, scfg, k=1, i=1)
     assert not ci.asym.psd
@@ -524,8 +522,9 @@ def _first_newton_step(Z, y, beta0):
     and the step its first Newton iteration takes."""
     scfg = SmoothConfig.for_sample(len(y))
     e = y - Z @ beta0
-    g = -(smoothed_check_grad(e, 0.5, scfg) @ Z)
-    H = Z.T @ (smoothed_check_curv(e, scfg)[:, None] * Z)
+    grad, curv = _sgrad_curv_vals(scfg.kernel, 0.5, e, scfg.h)
+    g = -(grad @ Z)
+    H = Z.T @ (curv[:, None] * Z)
     beta, _, failed = _smooth_newton(Z, y[None], 0.5, np.ones(len(y)), beta0[None],
                                      scfg.h, scfg.kernel, 1, 1e-8)
     assert not failed[0]
@@ -570,7 +569,7 @@ def _exit_gradient(panel, fit, scfg):
     grad = np.zeros_like(fit.F)
     scale = np.zeros(fit.F.shape[1])
     for L, tau, w in zip(fit.loadings, grid.levels_array(), grid.weights_array()):
-        grad -= w * smoothed_check_grad(X - fit.F @ L.T, tau, scfg) @ L
+        grad -= w * _sgrad_curv_vals(scfg.kernel, tau, X - fit.F @ L.T, scfg.h)[0] @ L
         scale += w * np.abs(L).sum(axis=0)
     return np.abs(grad / scale).max()
 
