@@ -113,14 +113,6 @@ class FactorFit:
             object.__setattr__(self, name, arr)
 
     @property
-    def n_periods(self):
-        return self.F.shape[0]
-
-    @property
-    def n_series(self):
-        return self.loadings.shape[1]
-
-    @property
     def r(self):
         return self.F.shape[1]
 

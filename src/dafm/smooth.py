@@ -17,8 +17,7 @@ matrices, then inversion of the density-floored ones.  ``factor_ci`` builds
 every period's interval in one pass, ``loading_ci`` every (level, series)
 interval, both from one residual curvature, and later calls with the same
 fit, ``Panel`` and smoothing config reuse that pass (``_memo``); each call
-applies its own level and returns its own arrays.  A plain-array panel is
-recomputed, for the one index asked for, on every call.
+applies its own level and returns its own arrays.
 """
 
 from __future__ import annotations
@@ -34,12 +33,11 @@ from .errors import NumericalError
 from .estimator import _finish, _outer_loop, _setup, fit_dafm
 from .kernels import SmoothConfig
 from .losses import _scurv_vals, _sgrad_curv_vals, _sloss_vals, _smoothed_objective_core
-from .panel import Panel, as_panel
+from .panel import as_panel
 from .solvers import _factor_sweep as _smooth_factor_sweep
 from .solvers import _loading_sweep as _smooth_loading_sweep
 
 __all__ = [
-    "AsymptoticCov",
     "ConfidenceIntervals",
     "fit_smoothed_dafm",
     "factor_ci",
@@ -56,31 +54,20 @@ PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class AsymptoticCov:
-    """Plug-in covariance pieces behind one confidence-interval call.
-
-    Factor intervals fill ``psi_t`` and ``sigma_kk``; loading intervals
-    fill ``phi_ki``.  The covariance itself is ``ConfidenceIntervals.cov``.
-    ``psd`` records whether the raw (unclamped) plug-in matrix was numerically
-    positive definite; inversion always uses the density-floored version.
-    """
-
-    psi_t: np.ndarray | None = None
-    phi_ki: np.ndarray | None = None
-    sigma_kk: np.ndarray | None = None
-    psd: bool = True
-
-
-@dataclass(frozen=True)
 class ConfidenceIntervals:
-    """Componentwise symmetric intervals ``estimate ± z * sqrt(diag(cov))``."""
+    """Componentwise symmetric intervals ``estimate ± z * sqrt(diag(cov))``.
+
+    ``psd`` records whether the raw (unfloored) plug-in density matrix was
+    numerically positive definite; ``cov`` always inverts its
+    density-floored version.
+    """
 
     estimate: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     level: float
     cov: np.ndarray
-    asym: AsymptoticCov
+    psd: bool
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +222,7 @@ def fit_smoothed_dafm(panel, grid, cfg, scfg, init_fit=None):
 # ---------------------------------------------------------------------------
 
 def _fit_arrays(fit, panel):
-    X = as_panel(panel).values
+    X = panel.values
     F = np.asarray(fit.F, dtype=np.float64)
     lam = np.asarray(fit.loadings, dtype=np.float64)
     T, N = X.shape
@@ -307,16 +294,13 @@ def _check_level(level):
 class _CIBatch:
     """Level-free interval pieces for a stack of indices (periods, or
     (level, series) pairs): estimates, covariances (NaN where ``pd`` is
-    false), the density-floored plug-in matrices, the psd flags of the raw
-    ones, the pd flags of the floored ones, ``sigma`` (factors only) and
-    the standard errors sqrt(max(diag(cov), 0))."""
+    false), the psd flags of the raw plug-in matrices, the pd flags of the
+    density-floored ones and the standard errors sqrt(max(diag(cov), 0))."""
 
     est: np.ndarray
     cov: np.ndarray
-    mats: np.ndarray
     psd: np.ndarray
     pd: np.ndarray
-    sigma: np.ndarray | None = None
     se: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -350,7 +334,7 @@ def _factor_batch(F, lam, grid, C):
     sigma = np.ascontiguousarray((L @ L.T / N).reshape(K, r, K, r).transpose(0, 2, 1, 3))
     omega = np.einsum("km,kmab->ab", np.outer(wts, wts) * tau_comoments(grid), sigma)
     psd, pd, cov = _sandwich(_psi(wts, lam, C), psi, omega, N)
-    return _CIBatch(F, cov, psi, psd, pd, sigma)
+    return _CIBatch(F, cov, psd, pd)
 
 
 def _loading_batch(F, lam, taus, C):
@@ -359,7 +343,7 @@ def _loading_batch(F, lam, taus, C):
     phi = _phi(F, np.maximum(C, DENSITY_FLOOR))
     middle = (taus * (1.0 - taus))[:, np.newaxis, np.newaxis, np.newaxis] * np.eye(F.shape[1])
     psd, pd, cov = _sandwich(_phi(F, C), phi, middle, F.shape[0])
-    return _CIBatch(lam, cov, phi, psd, pd)
+    return _CIBatch(lam, cov, psd, pd)
 
 
 #: The last value of each kind (the residual curvature, and each interval
@@ -392,17 +376,7 @@ def _normal_quantile(level):
     return scipy.special.ndtri(0.5 * (1.0 + level))
 
 
-def _frozen(cls, **values):
-    """An instance of the frozen dataclass ``cls`` holding ``values``, the
-    omitted fields at their defaults.  Its generated ``__init__`` sets each
-    field through ``object.__setattr__``, which costs more than the rest of
-    a reused interval call; these two classes check nothing on creation."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
-
-
-def _ci_at(batch, idx, level, where, **fields):
+def _ci_at(batch, idx, level, where):
     """The caller's own copy of interval ``idx`` of a batch at ``level``."""
     if not batch.pd[idx]:
         raise NumericalError(
@@ -412,11 +386,8 @@ def _ci_at(batch, idx, level, where, **fields):
     level = float(level)
     est = batch.est[idx]
     half = _normal_quantile(level) * batch.se[idx]
-    asym = _frozen(AsymptoticCov, psd=bool(batch.psd[idx]), **fields)
-    return _frozen(
-        ConfidenceIntervals, estimate=est.copy(), lower=est - half, upper=est + half,
-        level=level, cov=batch.cov[idx].copy(), asym=asym,
-    )
+    return ConfidenceIntervals(est.copy(), est - half, est + half, level,
+                               batch.cov[idx].copy(), bool(batch.psd[idx]))
 
 
 def factor_ci(fit, panel, scfg, t, level=0.95):
@@ -427,26 +398,19 @@ def factor_ci(fit, panel, scfg, t, level=0.95):
     Raises :class:`NumericalError` when that matrix is not positive definite
     even after density flooring.
 
-    For a :class:`Panel`, the first call builds every period's interval in
-    one batched pass and later calls with the same fit, panel and smoothing
-    config reuse it; each call returns its own arrays.  A plain array is
-    recomputed, for period ``t`` only, on every call.
+    The first call builds every period's interval in one batched pass and
+    later calls with the same fit, :class:`Panel` and smoothing config reuse
+    it; each call returns its own arrays.
     """
+    panel = as_panel(panel)
     X, F, lam = _fit_arrays(fit, panel)
     T, N = X.shape
     _check_index("period", t, T)
     _check_level(level)
     _check_aspect(T, N)
-    if isinstance(panel, Panel):
-        batch = _memo("factor", fit, panel, scfg, lambda: _factor_batch(
-            F, lam, fit.grid, _panel_curvature(fit, panel, scfg, X, F, lam)))
-        idx = t - 1
-    else:
-        C = _residual_curvature(X[t - 1:t], F[t - 1:t], lam, scfg)
-        batch = _factor_batch(F[t - 1:t], lam, fit.grid, C)
-        idx = 0
-    return _ci_at(batch, idx, level, f"at period {t}",
-                  psi_t=batch.mats[idx].copy(), sigma_kk=batch.sigma.copy())
+    batch = _memo("factor", fit, panel, scfg, lambda: _factor_batch(
+        F, lam, fit.grid, _panel_curvature(fit, panel, scfg, X, F, lam)))
+    return _ci_at(batch, t - 1, level, f"at period {t}")
 
 
 def loading_ci(fit, panel, scfg, k, i, level=0.95):
@@ -456,25 +420,17 @@ def loading_ci(fit, panel, scfg, k, i, level=0.95):
     factor second moment (its inverse enters squared because the normalized
     factors have identity second moment).
 
-    For a :class:`Panel`, the first call builds every (level, series)
-    interval in one batched pass and later calls with the same fit, panel
-    and smoothing config reuse it; each call returns its own arrays.  A
-    plain array is recomputed, for (k, i) only, on every call.
+    The first call builds every (level, series) interval in one batched pass
+    and later calls with the same fit, :class:`Panel` and smoothing config
+    reuse it; each call returns its own arrays.
     """
+    panel = as_panel(panel)
     X, F, lam = _fit_arrays(fit, panel)
     T, N = X.shape
     _check_index("level", k, lam.shape[0])
     _check_index("series", i, N)
     _check_level(level)
     _check_aspect(T, N)
-    if isinstance(panel, Panel):
-        batch = _memo("loading", fit, panel, scfg, lambda: _loading_batch(
-            F, lam, fit.grid.levels_array(), _panel_curvature(fit, panel, scfg, X, F, lam)))
-        idx = (k - 1, i - 1)
-    else:
-        lam_ki = lam[k - 1:k, i - 1:i]
-        C = _residual_curvature(X[:, i - 1:i], F, lam_ki, scfg)
-        batch = _loading_batch(F, lam_ki, fit.grid.levels_array()[k - 1:k], C)
-        idx = (0, 0)
-    return _ci_at(batch, idx, level, f"for level {k}, series {i}",
-                  phi_ki=batch.mats[idx].copy())
+    batch = _memo("loading", fit, panel, scfg, lambda: _loading_batch(
+        F, lam, fit.grid.levels_array(), _panel_curvature(fit, panel, scfg, X, F, lam)))
+    return _ci_at(batch, (k - 1, i - 1), level, f"for level {k}, series {i}")

@@ -25,9 +25,9 @@ def test_every_exported_name_resolves():
     (dafm, ("plug_in_psi", "plug_in_phi")),
     (losses, ("smoothed_check_loss", "smoothed_check_grad", "smoothed_check_curv",
               "smoothed_composite_objective", "_sgrad_vals")),
-    (smooth, ("plug_in_psi", "plug_in_phi")),
+    (smooth, ("plug_in_psi", "plug_in_phi", "AsymptoticCov")),
     (build_kernel(8), ("deriv", "deriv_v", "conforming")),
-    (FactorFit, ("common_component",)),
+    (FactorFit, ("common_component", "n_periods", "n_series")),
 ], ids=["dafm", "losses", "smooth", "Kernel", "FactorFit"])
 def test_deleted_wrappers_stay_deleted(owner, names):
     exported = getattr(owner, "__all__", ())

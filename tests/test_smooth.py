@@ -199,7 +199,7 @@ def test_factor_ci_shape_and_order():
     # covariance is symmetric positive semidefinite
     np.testing.assert_allclose(ci.cov, ci.cov.T, atol=1e-15)
     assert np.linalg.eigvalsh(ci.cov)[0] >= -1e-12
-    assert ci.asym.psd
+    assert ci.psd
 
 
 def test_factor_ci_width_scales_with_level():
@@ -213,13 +213,14 @@ def test_loading_ci_matches_manual_sandwich():
     fit, panel, scfg = _ci_fixture()
     ci = loading_ci(fit, panel, scfg, k=2, i=5)
     tau = fit.grid.levels[1]
-    # the covariance is built from the floored curvature matrix the report
-    # exposes; the raw plug-in can differ because higher-order kernels give
-    # some observations negative curvature
-    phi = ci.asym.phi_ki
+    # the covariance is built from the floored curvature matrix; the raw
+    # plug-in can differ because higher-order kernels give some observations
+    # negative curvature
+    raw_curvature = _raw_curvature(fit, panel, scfg)
+    phi = smooth._phi(fit.F, np.maximum(raw_curvature, DENSITY_FLOOR))[1, 4]
     cov = tau * (1 - tau) * (np.linalg.inv(phi) @ np.linalg.inv(phi)) / panel.n_periods
     np.testing.assert_allclose(ci.cov, cov, rtol=1e-12, atol=1e-15)
-    raw = smooth._phi(fit.F, _raw_curvature(fit, panel, scfg))[1, 4]
+    raw = smooth._phi(fit.F, raw_curvature)[1, 4]
     assert np.linalg.eigvalsh(phi)[0] > 0.0
     assert raw.shape == phi.shape
     np.testing.assert_array_equal(ci.estimate, fit.loadings[1, 4])
@@ -239,17 +240,11 @@ def test_factor_ci_matches_manual_sandwich():
     K, N, _ = lam.shape
     w = fit.grid.weights
     comoments = tau_comoments(fit.grid)
-    sigma = ci.asym.sigma_kk
-    for k in range(K):
-        for m in range(K):
-            # the normalization zeroes the reference level's off-diagonal
-            np.testing.assert_allclose(sigma[k, m], lam[k].T @ lam[m] / N, rtol=1e-12, atol=1e-15)
-    # the one (K*r, K*r) product equals the pairwise contraction it replaced
-    einsum = np.einsum("kia,mib->kmab", lam, lam) / N
-    assert np.abs(sigma - einsum).max() <= 1e-14 * np.abs(einsum).max()
+    sigma = np.einsum("kia,mib->kmab", lam, lam) / N
     omega = sum(w[k] * w[m] * comoments[k, m] * sigma[k, m] for k in range(K) for m in range(K))
-    # built from the floored density matrix the report exposes
-    psi_inv = np.linalg.inv(ci.asym.psi_t)
+    # built from the floored density matrix
+    floored = np.maximum(_raw_curvature(fit, panel, scfg), DENSITY_FLOOR)
+    psi_inv = np.linalg.inv(smooth._psi(fit.grid.weights_array(), lam, floored)[10])
     cov = psi_inv @ omega @ psi_inv / N
     np.testing.assert_allclose(ci.cov, 0.5 * (cov + cov.T), rtol=1e-12, atol=1e-15)
     np.testing.assert_array_equal(ci.estimate, fit.F[10])
@@ -279,7 +274,7 @@ def test_plug_in_matrices_match_naive_loops():
         np.testing.assert_allclose(ci.lower, est - half, rtol=1e-12, atol=1e-12 * half.max())
         np.testing.assert_allclose(ci.upper, est + half, rtol=1e-12, atol=1e-12 * half.max())
         np.testing.assert_array_equal(ci.estimate, est)
-        assert ci.asym.psd == (np.linalg.eigvalsh(raw)[0] >= PSD_TOL)
+        assert ci.psd == (np.linalg.eigvalsh(raw)[0] >= PSD_TOL)
 
     def psi_t(cc, t):
         return sum(w[k] * cc[k, t, i] * np.outer(lam[k, i], lam[k, i])
@@ -318,7 +313,7 @@ def _fresh(ci_fn, *args, **kwargs):
 def _assert_same_interval(a, b):
     for name in ("estimate", "lower", "upper", "cov"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert a.asym.psd == b.asym.psd and a.level == b.level
+    assert a.psd == b.psd and a.level == b.level
 
 
 def test_interval_batch_is_never_reused_for_other_inputs():
@@ -338,7 +333,10 @@ def test_interval_batch_is_never_reused_for_other_inputs():
             _assert_same_interval(ci_fn(*base, *idx), expected)
             got = ci_fn(*variant, *idx)
             _assert_same_interval(got, _fresh(ci_fn, *variant, *idx))
-            if variant[1] is not X:
+            if variant[1] is X:
+                # an array goes through the same batch as a Panel of it
+                _assert_same_interval(got, expected)
+            else:
                 assert not np.array_equal(got.cov, expected.cov)
         _assert_same_interval(ci_fn(*base, *idx), expected)
     # a plain array is read again on every call
@@ -357,10 +355,9 @@ def test_interval_batch_is_never_reused_for_other_inputs():
 
 def test_returned_intervals_belong_to_the_caller():
     fit, panel, scfg = _ci_fixture()
-    for ci_fn, idx, fields in [(factor_ci, (3,), ("psi_t", "sigma_kk")),
-                               (loading_ci, (1, 8), ("phi_ki",))]:
+    for ci_fn, idx in [(factor_ci, (3,)), (loading_ci, (1, 8))]:
         def arrays(ci):
-            return [ci.estimate, ci.lower, ci.upper, ci.cov] + [getattr(ci.asym, f) for f in fields]
+            return [ci.estimate, ci.lower, ci.upper, ci.cov]
 
         ci = ci_fn(fit, panel, scfg, *idx)
         kept = [arr.copy() for arr in arrays(ci)]
@@ -436,7 +433,7 @@ def test_density_floor_rescues_far_out_residuals():
     phi_raw = smooth._phi(shifted.F, _raw_curvature(shifted, panel, scfg))[0, 0]
     assert np.abs(phi_raw).max() == 0.0  # every curvature vanished
     ci = loading_ci(shifted, panel, scfg, k=1, i=1)
-    assert not ci.asym.psd
+    assert not ci.psd
     healthy = loading_ci(fit, panel, scfg, k=1, i=1)
     assert (ci.upper - ci.lower).min() > (healthy.upper - healthy.lower).max()
     assert DENSITY_FLOOR == 1e-8
