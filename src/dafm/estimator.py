@@ -291,7 +291,9 @@ def normalize_fit(F_raw, loadings_raw, k):
     common component Lambda_j F' is preserved exactly.  Column signs are
     fixed so each factor's largest-magnitude entry is positive.
 
-    Returns ``(F, loadings, NormalizationReport)``.
+    Returns ``(F, loadings, NormalizationReport)``.  Raises
+    :class:`NumericalError` when the factors or the level-k loadings are rank
+    deficient, which leaves the rotation unidentified.
     """
     F = np.asarray(F_raw, dtype=np.float64)
     lam = np.asarray(loadings_raw, dtype=np.float64)
@@ -323,6 +325,11 @@ def normalize_fit(F_raw, loadings_raw, k):
     B = 0.5 * (B + B.T)
     d, U = np.linalg.eigh(B)
     d = d[::-1].copy()
+    if d[-1] <= 0 or d[0] / d[-1] > 1e12:
+        raise NumericalError(
+            f"loadings at level k={k} are rank deficient: their diagonalized "
+            f"cross-product D has condition number above 1e12 (range {d[-1]:.3e}..{d[0]:.3e})"
+        )
     U = np.ascontiguousarray(U[:, ::-1])
     H = A_ihalf @ U
     H_inv = U.T @ A_half

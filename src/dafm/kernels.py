@@ -26,6 +26,7 @@ cores in ``losses`` all go through these two.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -149,9 +150,15 @@ def build_kernel(m):
 
     m must be even with m >= 8 (Assumption-compatible orders); m=2 returns the
     Epanechnikov kernel, for unit tests only.  Orders 4 and 6 are rejected:
-    no admissible bandwidth exponent exists below order 8.
+    no admissible bandwidth exponent exists below order 8.  Each order is
+    built once and then shared: a ``Kernel`` is frozen and its arrays are
+    read-only.
     """
-    m = int(m)
+    return _build_kernel(int(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _build_kernel(m):
     if m == 2:
         return Kernel(order=2, coef=np.array([0.75, 0.0, -0.75]))
     if m % 2 != 0:

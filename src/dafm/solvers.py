@@ -2,11 +2,13 @@
 
 One batched layer solves every exact subproblem: B quantile regressions on
 one shared design, by a Mehrotra interior point on the LP dual
-(`_qreg_ipm`) and a vertex polish (`_qreg_polish`).  Each row of a result
-is the best of (interior point, polish, previous iterate) by the exact
-check loss, so the alternating sweeps can never increase the objective.  A
-row that misses the gap target is counted and the fit warns; nothing falls
-back to another solver.
+(`_qreg_ipm`) and a vertex polish (`_qreg_polish`).  The polish is an
+exact, batched LU solve through each row's r best-fitted points; a
+singular system gives no candidate.  Each row of a result is the best of
+(interior point, polish, previous iterate) by the exact check loss, so the
+alternating sweeps can never increase the objective.  A row that misses
+the gap target is counted and the fit warns; nothing falls back to another
+solver.
 
 The sweep pair lays out each batch once for both fits: ``_loading_sweep``
 the K·N (level, series) regressions on the factors, ``_factor_sweep`` the T
@@ -167,23 +169,29 @@ def _qreg_ipm(Z, Y, taus, gap_rtol, max_iter):
 
 
 def _qreg_polish(Z, Y, taus, beta):
-    """Interpolation polish: refit each row on its r smallest absolute residuals.
+    """Interpolation polish: solve each row exactly through its r smallest
+    absolute residuals.
 
-    An optimal quantile-regression coefficient interpolates r observations,
-    so the least-squares fit through the r best-fitted points recovers the
-    exact vertex when the interior-point iterate is close to it.  A row's
-    candidate is kept only when it lowers that row's objective.  Returns
-    ``(beta, objective)``, with ``beta`` itself when no row improved.
+    An optimal quantile-regression coefficient interpolates r observations
+    (Koenker 2005, Thm 2.1), so the exact LU solve through the r best-fitted
+    points recovers that vertex when the interior-point iterate is close to
+    it.  An exactly singular system (a zero LU pivot) gives no candidate.  A
+    row's candidate is kept only when it lowers that row's objective.
+    Returns ``(beta, objective)``, with ``beta`` itself when no row improved.
     """
     r = Z.shape[1]
     resid = Y - beta @ Z.T
     obj = _ploss(resid, taus)
     idx = np.argsort(np.abs(resid), axis=1)[:, :r]
-    # lstsq's cut-off: a singular system gets a fit instead of a batch error
-    Zh_pinv = np.linalg.pinv(Z[idx], rtol=r * np.finfo(np.float64).eps)
-    cand = (Zh_pinv @ np.take_along_axis(Y, idx, axis=1)[..., None])[..., 0]
+    Zh = Z[idx]
+    # slogdet's sign is 0 exactly where the LU factorization meets a zero
+    # pivot, and solve would raise; unlike det, it cannot underflow to 0
+    singular = np.linalg.slogdet(Zh)[0] == 0
+    if singular.any():
+        Zh[singular] = np.eye(r)
+    cand = np.linalg.solve(Zh, np.take_along_axis(Y, idx, axis=1)[..., None])[..., 0]
     obj_cand = _ploss(Y - cand @ Z.T, taus)
-    better = obj_cand < obj  # False for a non-finite candidate
+    better = (obj_cand < obj) & ~singular  # False for a non-finite candidate
     if not better.any():
         return beta, obj
     return np.where(better[:, None], cand, beta), np.where(better, obj_cand, obj)

@@ -238,8 +238,9 @@ def test_readme_lists_the_dgps_and_dists():
 
 
 def test_numerical_failure_exits_3(tmp_path):
-    # a constant panel makes every fitted factor row identical, so the
-    # normalization's rank check fails
+    # a constant panel leaves the fit unidentified: the normalization's rank
+    # check fails on the factors, or, where the exact polish leaves one
+    # period apart from the rest, on the loadings (a zero second column)
     save_panel(Panel(np.full((20, 8), 3.0)), tmp_path / "const.csv")
     res = run_cli(
         "fit", "--panel", tmp_path / "const.csv", "--r", 2,

@@ -116,6 +116,17 @@ def test_normalize_rejects_rank_deficient_factors():
         normalize_fit(F_raw, lam_raw, k=1)
 
 
+def test_normalize_rejects_rank_deficient_loadings_at_the_reference_level():
+    rng = np.random.default_rng(3)
+    F_raw = rng.standard_normal((20, 2))
+    lam_raw = rng.standard_normal((3, 8, 2))
+    lam_raw[1, :, 1] = 0.0  # a zero loading column at level 2 only
+    for k in (1, 3):
+        normalize_fit(F_raw, lam_raw, k=k)
+    with pytest.raises(NumericalError, match="loadings at level k=2 are rank deficient"):
+        normalize_fit(F_raw, lam_raw, k=2)
+
+
 def test_normalize_validation():
     with pytest.raises(ValueError, match="level index"):
         normalize_fit(np.ones((5, 1)), np.ones((1, 3, 1)), k=2)

@@ -54,6 +54,20 @@ def test_rejected_orders():
         build_kernel(9)
 
 
+def test_each_order_is_built_once():
+    kern = build_kernel(8)
+    assert build_kernel(8) is kern
+    assert build_kernel(np.int64(8)) is kern
+    assert build_kernel(10) is not kern
+    assert not kern.coef.flags.writeable
+    # a failed build is not cached: invalid orders raise on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="even"):
+            build_kernel(9)
+        with pytest.raises(ValueError, match="order"):
+            build_kernel(6)
+
+
 def test_smoothness_at_support_edges():
     # k and k' vanish at +-1: the (1-s^2)^3 factor guarantees C^2 glue, so
     # the curvature 2 k(u) + u k'(u) vanishes there too

@@ -318,6 +318,8 @@ def test_polish_survives_a_singular_interpolation_system():
     beta0 = np.array([[1.0, 0.3], [0.0, 1.0]])
     assert sorted(np.argsort(np.abs(y0 - Z @ beta0[0]))[:2]) == [0, 1]
     polished, obj = _qreg_polish(Z, Y, taus, beta0)
+    # a singular system gives no candidate: row 0 keeps its input bit for bit
+    np.testing.assert_array_equal(polished[0], beta0[0])
     for k in range(2):
         alone, obj_alone = _qreg_polish(Z, Y[k:k + 1], taus, beta0[k:k + 1])
         np.testing.assert_allclose(polished[k], alone[0], rtol=1e-12)
@@ -326,6 +328,23 @@ def test_polish_survives_a_singular_interpolation_system():
     for k in range(2):
         _, o1, ok1 = _qreg_solve(Z, Y[k:k + 1], taus, beta0[k:k + 1], 1e-10, 60)
         assert obj[k] == pytest.approx(o1[0], rel=1e-12) and ok[k] == ok1[0]
+
+
+def test_kept_polish_candidates_interpolate_their_chosen_points():
+    rng = np.random.default_rng(5)
+    Z, _ = _instance(rng, 40, 3)
+    Y = (Z @ rng.standard_normal((3, 30)) + rng.standard_t(df=3, size=(40, 30))).T
+    taus = rng.choice([0.1, 0.5, 0.9], size=(30, 1))
+    # interior-point iterates a few steps short of the vertex
+    beta0 = _qreg_ipm(Z, Y, taus, 1e-10, 4)[0]
+    polished, obj = _qreg_polish(Z, Y, taus, beta0)
+    kept = np.any(polished != beta0, axis=1)
+    assert kept.sum() >= 10
+    idx = np.argsort(np.abs(Y - beta0 @ Z.T), axis=1)[:, :3]
+    for b in np.flatnonzero(kept):
+        resid = Y[b, idx[b]] - Z[idx[b]] @ polished[b]
+        assert np.max(np.abs(resid)) <= 1e-12 * (1.0 + np.abs(Y[b]).sum())
+        assert obj[b] < _ploss(Y[b] - Z @ beta0[b], taus[b])
 
 
 def test_every_row_is_floored_at_its_previous_iterate():
