@@ -42,7 +42,7 @@ from .simgen import (
 )
 from .evalmetrics import adjusted_r2, relative_mse
 from .forecast import ForecastTask, fit_factor_ar, rolling_forecast, select_lags_bic
-from .serialize import load_fit, save_fit
+from .serialize import save_fit
 
 __all__ = [
     "__version__",
@@ -86,6 +86,5 @@ __all__ = [
     "fit_factor_ar",
     "rolling_forecast",
     "select_lags_bic",
-    "load_fit",
     "save_fit",
 ]

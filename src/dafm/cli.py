@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError
-from .estimator import FitConfig, fit_dafm, fit_qfm, mean_pca
+from .estimator import FitConfig, _factor_method, fit_dafm, fit_qfm, mean_pca
 from .evalmetrics import adjusted_r2, relative_mse
 from .forecast import ForecastTask, rolling_forecast
 from .grids import QuantileGrid
@@ -208,18 +208,6 @@ def cmd_fit(cfg):
     )
 
 
-def cmd_fit_qfm(cfg):
-    panel = _load_panel_arg(cfg["panel"])
-    fc = _fit_config(cfg, cfg["r"])
-    fit = fit_qfm(panel, cfg["tau"], fc)
-    outdir = cfg["out"]
-    save_fit(fit, os.path.join(outdir, "fit"))
-    print(
-        f"wrote {outdir}/fit: qfm tau={cfg['tau']} r={fit.r} "
-        f"objective={fit.objective:.6g} converged={str(fit.converged).lower()}"
-    )
-
-
 def cmd_rank(cfg):
     panel = _load_panel_arg(cfg["panel"])
     grid = _build_grid(cfg["levels"], cfg["weights"])
@@ -352,16 +340,10 @@ def _eval_methods(spec):
     if not methods:
         raise ConfigError("--methods must list at least one method")
     for m in methods:
-        name = m.split(":", 1)[0]
-        if name not in ("dafm", "qfm", "pca"):
-            raise ConfigError(f"unknown method {m!r}; expected dafm, qfm:<tau>, or pca")
-        if name == "qfm":
-            try:
-                tau = float(m.split(":", 1)[1])
-            except (IndexError, ValueError):
-                raise ConfigError("qfm needs a level, e.g. qfm:0.5") from None
-            if not 0.0 < tau < 1.0:
-                raise ConfigError(f"qfm level must be in (0, 1), got {tau}")
+        try:
+            _factor_method(m)
+        except ValueError as exc:
+            raise ConfigError(f"--methods: {exc}") from None
     return methods
 
 
@@ -371,11 +353,11 @@ def _eval_one_rep(gen, dist, N, T, seed, methods, grid, r_over):
     r = truth.n_factors if r_over is None else r_over
     rows = []
     for m in methods:
-        name, _, arg = m.partition(":")
+        name, tau = _factor_method(m)
         if name == "dafm":
             F_hat = fit_dafm(panel, grid, FitConfig(r=r, seed=0)).F
         elif name == "qfm":
-            F_hat = fit_qfm(panel, float(arg), FitConfig(r=r)).F
+            F_hat = fit_qfm(panel, tau, FitConfig(r=r)).F
         else:
             F_hat, _ = mean_pca(panel, r)
         r2 = [adjusted_r2(truth.F0[:, j], F_hat) for j in range(truth.F0.shape[1])]
@@ -388,15 +370,7 @@ def _r2_header(n_factors):
 
 
 def cmd_eval_sim(cfg):
-    if cfg["dgp"] is not None:
-        dgp = cfg["dgp"]
-    elif cfg["table"] is not None:
-        if cfg["table"] not in (1, 2):
-            raise ConfigError(f"--table must be 1 or 2, got {cfg['table']}")
-        dgp = "location-shift" if cfg["table"] == 1 else "location-scale-shift"
-    else:
-        raise ConfigError("pass --table 1|2 or --dgp")
-    gen = DGPS[dgp]
+    gen = DGPS[cfg["dgp"]]
     dist = parse_dist(cfg["dist"])
     sizes = _parse_sizes(cfg["sizes"])
     methods = _eval_methods(cfg["methods"])
@@ -434,9 +408,6 @@ _COMMANDS = {
     "fit": (cmd_fit, "estimate a composite-quantile factor model", _COMMON + _GRID + [
         ("panel", str, _REQUIRED), ("r", _POS_INT, _REQUIRED), ("k-star", _POS_INT, None),
     ] + _FIT),
-    "fit-qfm": (cmd_fit_qfm, "estimate a single-level quantile factor model", _COMMON + [
-        ("panel", str, _REQUIRED), ("tau", float, 0.5), ("r", _POS_INT, _REQUIRED),
-    ] + _FIT),
     "rank": (cmd_rank, "select the number of factors", _COMMON + _GRID + [
         ("panel", str, _REQUIRED), ("method", str, "eigen"), ("smax", _POS_INT, None),
         ("penalty", _POS_FLOAT, None), ("thresholds", str, "auto"),
@@ -453,7 +424,7 @@ _COMMANDS = {
     ] + _FIT),
     "eval-sim": (cmd_eval_sim, "replicated simulation study with per-factor adjusted R²",
                  _COMMON + _GRID + [
-                     ("table", _POS_INT, None), ("dgp", _dgp, None), ("dist", _dist, "gaussian"),
+                     ("dgp", _dgp, _REQUIRED), ("dist", _dist, "gaussian"),
                      ("sizes", str, "50x50"), ("reps", _POS_INT, 10), ("methods", str, "dafm"),
                      ("r", _POS_INT, None), ("seed", int, 0)]),
 }

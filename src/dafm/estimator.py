@@ -282,6 +282,23 @@ def fit_qfm(panel, tau, cfg):
     return fit_dafm(panel, grid, cfg)
 
 
+def _factor_method(spec):
+    """Parse a factor method, ``dafm``, ``pca`` or ``qfm:TAU``, into
+    ``(name, tau)``; ``tau`` is None unless the method is ``qfm``."""
+    name, colon, arg = spec.partition(":")
+    if name in ("dafm", "pca") and not colon:
+        return name, None
+    if name != "qfm":
+        raise ValueError(f"unknown method {spec!r}; expected dafm, pca or qfm:<tau>")
+    try:
+        tau = float(arg)
+    except ValueError:
+        raise ValueError(f"method {spec!r}: qfm needs a level, e.g. qfm:0.5") from None
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"method {spec!r}: the qfm level must be in (0, 1), got {tau}")
+    return name, tau
+
+
 def normalize_fit(F_raw, loadings_raw, k):
     """Rotate a raw fit to the normalized parametrization.
 

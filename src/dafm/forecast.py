@@ -20,22 +20,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .estimator import _alternate, _fit_raw, mean_pca
+from .estimator import _alternate, _factor_method, _fit_raw, mean_pca
 from .grids import QuantileGrid
 from .panel import as_panel
 
 __all__ = ["ForecastTask", "select_lags_bic", "fit_factor_ar", "rolling_forecast"]
 
-_METHODS = ("ar", "ar+dafm", "ar+qfm", "ar+pca")
+
+def _finite_series(y, what):
+    """``y`` as a flat float array; raises ValueError at its first non-finite entry."""
+    y = np.asarray(y, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"{what} must be finite; row {bad[0]} is {y[bad[0]]}")
+    return y
 
 
 @dataclass(frozen=True)
 class ForecastTask:
     """Rolling-forecast specification.
 
-    ``method`` is "ar", "ar+dafm", "ar+pca", or "ar+qfm:TAU" (e.g.
-    "ar+qfm:0.5").  ``window`` rows of history are used per fit and the
-    forecast horizon is measured in rows of the target.
+    ``method`` is "ar", or "ar+" and a factor method: "ar+dafm", "ar+pca"
+    or "ar+qfm:TAU" (e.g. "ar+qfm:0.5").  ``window`` rows of history are
+    used per fit and the forecast horizon is measured in rows of the target.
     """
 
     target: np.ndarray
@@ -45,9 +52,7 @@ class ForecastTask:
     method: str = "ar+dafm"
 
     def __post_init__(self):
-        y = np.asarray(self.target, dtype=float).ravel()
-        if not np.all(np.isfinite(y)):
-            raise ValueError("target series must be finite")
+        y = _finite_series(self.target, "target series")
         object.__setattr__(self, "target", y)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
@@ -60,16 +65,13 @@ class ForecastTask:
                 f"window {self.window} + horizon {self.horizon} exceeds "
                 f"target length {y.size}"
             )
-        name = self.method.split(":", 1)[0]
-        if name not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {_METHODS}")
-        if name == "ar+qfm":
-            try:
-                tau = float(self.method.split(":", 1)[1])
-            except (IndexError, ValueError):
-                raise ValueError("ar+qfm needs a level, e.g. 'ar+qfm:0.5'") from None
-            if not 0.0 < tau < 1.0:
-                raise ValueError(f"ar+qfm level must be in (0, 1), got {tau}")
+        if self.method != "ar":
+            head, _, spec = self.method.partition("+")
+            if head != "ar":
+                raise ValueError(
+                    f"unknown method {self.method!r}; expected ar or ar+<dafm, pca or qfm:tau>"
+                )
+            _factor_method(spec)
 
 
 def _design(y, factors, p, horizon):
@@ -173,16 +175,11 @@ def _window_factors(X_win, task, grid, cfg, F_prev):
     parametrization.  ``F_prev`` warm-starts the alternating fit from the
     previous window, shifted one row.
     """
-    name, _, arg = task.method.partition(":")
-    if name == "ar":
-        return None
-    if name == "ar+pca":
+    name, tau = _factor_method(task.method[len("ar+"):])
+    if name == "pca":
         F, _ = mean_pca(X_win, cfg.r)
         return F
-    if name == "ar+qfm":
-        g = QuantileGrid((float(arg),))
-    else:
-        g = grid
+    g = grid if tau is None else QuantileGrid((tau,))
     if F_prev is None:
         F, lam, _, _ = _fit_raw(X_win, g, cfg)
     else:
@@ -198,12 +195,11 @@ def rolling_forecast(panel, y, task, grid=None, cfg=None):
     the BIC lag order, and the regression are all estimated from rows
     s-W+1..s only, then y_{s+horizon} is predicted; the forecast count is
     len(y) - window - horizon + 1.  A window whose fit fails yields a NaN
-    forecast (with a warning) rather than aborting the run.  Returns
-    ``(forecasts, actuals)``.
+    forecast (with a warning) rather than aborting the run.  ``y`` replaces
+    ``task.target`` unless it is None, and is checked as the target is.
+    Returns ``(forecasts, actuals)``.
     """
-    if y is None:
-        y = task.target
-    y = np.asarray(y, dtype=float).ravel()
+    y = task.target if y is None else _finite_series(y, "y")
     X = as_panel(panel).values
     if X.shape[0] != y.size:
         raise ValueError(f"panel has {X.shape[0]} rows, target has {y.size}")

@@ -205,25 +205,17 @@ class SmoothConfig:
     """Kernel plus bandwidth for the smoothed check loss.
 
     Either construct from a sample size via :meth:`for_sample` (bandwidth
-    h = T^(-c) with the exponent validated against 1/m < c < 1/6) or pass an
-    explicit positive bandwidth with ``bandwidth_exponent=None`` (used by
-    agreement tests that need un-attainable bandwidths like 1e-8).
+    h = T^(-c) with the exponent validated against 1/m < c < 1/6) or pass any
+    finite positive bandwidth (agreement tests need un-attainable bandwidths
+    like 1e-8).
     """
 
     kernel: Kernel
     bandwidth: float
-    bandwidth_exponent: float = None
 
     def __post_init__(self):
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ValueError("bandwidth must be finite and positive, got %r" % (self.bandwidth,))
-        c = self.bandwidth_exponent
-        if c is not None:
-            m = self.kernel.order
-            if not (1.0 / m < c < 1.0 / 6.0):
-                raise ValueError(
-                    "bandwidth exponent %g violates 1/m < c < 1/6 for kernel order m=%d" % (c, m)
-                )
 
     @classmethod
     def for_sample(cls, T, kernel=None, bandwidth_exponent=None):
@@ -232,11 +224,13 @@ class SmoothConfig:
             raise ValueError("sample size must be >= 2")
         if kernel is None:
             kernel = build_kernel(8)
-        c = bandwidth_exponent
-        if c is None:
-            c = default_bandwidth_exponent(kernel.order)
-        h = float(T) ** (-c)
-        return cls(kernel=kernel, bandwidth=h, bandwidth_exponent=c)
+        m = kernel.order
+        c = default_bandwidth_exponent(m) if bandwidth_exponent is None else bandwidth_exponent
+        if not (1.0 / m < c < 1.0 / 6.0):
+            raise ValueError(
+                "bandwidth exponent %g violates 1/m < c < 1/6 for kernel order m=%d" % (c, m)
+            )
+        return cls(kernel=kernel, bandwidth=float(T) ** (-c))
 
     @property
     def h(self):

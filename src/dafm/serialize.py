@@ -2,7 +2,7 @@
 
 The CLI's tables and the fit matrices go through ``write_table``: an
 optional header line, then comma-separated cells, a float printed at 17
-significant digits so a save/load round trip is bit-identical.  A fit
+significant digits so reading it back gives the same bits.  A fit
 directory holds ``F.csv`` (T×r), one ``Lambda_<k>.csv`` (N×r) per quantile
 level in grid order (1-based), and a ``meta`` file; the matrices have no
 header.
@@ -19,40 +19,19 @@ import os
 
 import numpy as np
 
-from .estimator import FactorFit
-from .grids import QuantileGrid
-
 __all__ = [
     "save_fit",
-    "load_fit",
     "write_table",
     "write_matrix",
-    "read_matrix",
     "write_kv",
     "read_kv",
     "parse_floats",
-    "parse_bool",
 ]
 
 
 def write_matrix(path, M):
     """Write a 2-d array as headerless CSV at full precision."""
     write_table(path, None, np.atleast_2d(np.asarray(M, dtype=float)))
-
-
-def read_matrix(path):
-    with open(path) as fh:
-        rows = [
-            [float(v) for v in line.split(",")]
-            for line in (l.strip() for l in fh)
-            if line
-        ]
-    if not rows:
-        raise ValueError(f"{path} is empty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path} has ragged rows")
-    return np.array(rows)
 
 
 def _format_value(v):
@@ -108,15 +87,6 @@ def parse_floats(s):
     return tuple(float(v) for v in s.split(","))
 
 
-def parse_bool(s):
-    s = s.strip().lower()
-    if s in ("true", "1", "yes"):
-        return True
-    if s in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def save_fit(fit, dirpath):
     """Write a fitted model to a directory (created if needed)."""
     os.makedirs(dirpath, exist_ok=True)
@@ -132,25 +102,3 @@ def save_fit(fit, dirpath):
     }
     write_kv(os.path.join(dirpath, "meta"), meta)
 
-
-def load_fit(dirpath):
-    """Read a fit directory back into a FactorFit.
-
-    The normalization report holds derived matrices and is not serialized;
-    the loaded fit carries ``normalization=None`` (its ``k_star`` remains
-    readable in the ``meta`` file).
-    """
-    meta = read_kv(os.path.join(dirpath, "meta"))
-    grid = QuantileGrid(parse_floats(meta["levels"]), parse_floats(meta["weights"]))
-    F = read_matrix(os.path.join(dirpath, "F.csv"))
-    loadings = [
-        read_matrix(os.path.join(dirpath, f"Lambda_{k + 1}.csv"))
-        for k in range(len(grid))
-    ]
-    return FactorFit(
-        F=F,
-        loadings=np.stack(loadings),
-        grid=grid,
-        objective_trace=parse_floats(meta.get("trace", "")),
-        converged=parse_bool(meta.get("converged", "false")),
-    )

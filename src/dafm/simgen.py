@@ -374,11 +374,9 @@ def gen_location_scale_shift(N, T, dist, seed):
     return Panel(X), truth
 
 
-#: ``--dgp`` names and their generators; ``location-scale`` is short for
-#: ``location-scale-shift``.
+#: ``--dgp`` names and their generators.
 DGPS = {
     "location-shift": gen_location_shift,
-    "location-scale": gen_location_scale_shift,
     "location-scale-shift": gen_location_scale_shift,
 }
 

@@ -8,15 +8,20 @@ import numpy as np
 import pytest
 
 import dafm.cli
-from dafm import Panel, save_panel
+from dafm import FitConfig, Panel, fit_qfm, load_panel, save_fit, save_panel
 from dafm.serialize import read_kv
 from dafm.simgen import _FAMILIES, DGPS, WEIGHT_SCHEMES
 
 
+def _env(**extra):
+    """The environment with the imported ``dafm``'s source first on the path."""
+    src = str(Path(dafm.cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path, **extra)
+
+
 def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    env = _env(**(env_extra or {}))
     return subprocess.run(
         [sys.executable, "-m", "dafm.cli", *map(str, args)],
         capture_output=True,
@@ -48,19 +53,42 @@ def test_simulate_outputs(sim_dir):
 
 
 def test_fit_median_equals_qfm(sim_dir, tmp_path):
+    # the single-level quantile factor model is `fit` with one level
     a, b = tmp_path / "a", tmp_path / "b"
     res = run_cli(
         "fit", "--panel", sim_dir / "panel.csv", "--r", 2,
         "--levels", "0.5", "--out", a,
     )
     assert res.returncode == 0, res.stderr
-    res = run_cli(
-        "fit-qfm", "--panel", sim_dir / "panel.csv", "--r", 2,
-        "--tau", "0.5", "--out", b,
-    )
-    assert res.returncode == 0, res.stderr
-    for name in ["fit/F.csv", "fit/Lambda_1.csv"]:
+    save_fit(fit_qfm(load_panel(sim_dir / "panel.csv"), 0.5, FitConfig(r=2)), b / "fit")
+    for name in ["fit/F.csv", "fit/Lambda_1.csv", "fit/meta"]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-qfm", "--panel", "p.csv", "--r", "1", "--tau", "0.5"],
+    ["eval-sim", "--table", "1", "--sizes", "10x10", "--reps", "1"],
+    ["eval-sim", "--sizes", "10x10", "--reps", "1"],
+], ids=["fit-qfm", "eval-sim-table", "eval-sim-without-dgp"])
+def test_removed_spellings_exit_2(tmp_path, argv):
+    res = run_cli(*argv, "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert not (tmp_path / "manifest").exists()
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["eval-sim", "--dgp", "location-shift", "--methods", "dafm,qfm:1.5"], "'qfm:1.5'"),
+    (["eval-sim", "--dgp", "location-shift", "--methods", "pca:0.5"], "'pca:0.5'"),
+    (["forecast", "--panel", "PANEL", "--target", "1", "--window", "20", "--method", "ar+qfm"],
+     "'qfm'"),
+    (["forecast", "--panel", "PANEL", "--target", "1", "--window", "20", "--method", "var"],
+     "'var'"),
+], ids=["eval-sim-qfm-level", "eval-sim-pca-arg", "forecast-qfm-no-level", "forecast-var"])
+def test_bad_method_specs_exit_2_and_name_the_spec(sim_dir, tmp_path, capsys, argv, spec):
+    argv = [str(sim_dir / "panel.csv") if a == "PANEL" else a for a in argv]
+    assert dafm.cli.main(argv + ["--r", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and spec in err
 
 
 def test_manifest_rerun_is_bit_identical(sim_dir, tmp_path):
@@ -99,7 +127,7 @@ def test_config_errors_exit_2(sim_dir, tmp_path):
     res = run_cli("fit", "--panel", sim_dir / "panel.csv", "--r", 1, "--init", "bogus",
                   "--out", tmp_path)
     assert res.returncode == 2 and "init must be" in res.stderr
-    res = run_cli("fit-qfm", "--panel", sim_dir / "panel.csv", "--r", 1, "--tau", 1.5,
+    res = run_cli("fit", "--panel", sim_dir / "panel.csv", "--r", 1, "--levels", 1.5,
                   "--out", tmp_path)
     assert res.returncode == 2 and "levels must lie strictly inside (0, 1)" in res.stderr
 
@@ -166,16 +194,16 @@ def test_non_finite_dist_parameters_are_dist_errors(tmp_path, capsys, dist, mess
     ("fit", ["--panel", "p.csv", "--r", "2", "--levels", "0.25,0.5,0.75", "--weights",
              "low2x", "--k-star", "2", "--tol", "1e-5", "--max-outer", "7", "--init",
              "random-orthonormal", "--seed", "3"]),
-    ("fit-qfm", ["--panel", "p.csv", "--tau", "0.3", "--r", "1", "--tol", "2.5e-7"]),
+    ("fit", ["--panel", "p.csv", "--levels", "0.3", "--r", "1", "--tol", "2.5e-7"]),
     ("rank", ["--panel", "p.csv", "--method", "ic", "--smax", "4", "--penalty", "0.75",
               "--thresholds", "0.1,0.2", "--levels", "0.5"]),
     ("infer", ["--panel", "p.csv", "--r", "2", "--loading", "1,3", "--level", "0.9",
                "--kernel-order", "4", "--bandwidth", "0.35"]),
     ("forecast", ["--panel", "p.csv", "--target", "2", "--horizon", "2", "--window", "30",
                   "--max-lag", "0", "--method", "ar"]),
-    ("eval-sim", ["--table", "2", "--sizes", "10x20,20x20", "--reps", "3", "--methods",
-                  "dafm,qfm:0.5", "--r", "1", "--levels", "0.2,0.5,0.8", "--weights",
-                  "1,2,1", "--seed", "5"]),
+    ("eval-sim", ["--dgp", "location-scale-shift", "--sizes", "10x20,20x20", "--reps", "3",
+                  "--methods", "dafm,qfm:0.5", "--r", "1", "--levels", "0.2,0.5,0.8",
+                  "--weights", "1,2,1", "--seed", "5"]),
 ])
 def test_every_manifest_reruns_to_the_same_options(tmp_path, monkeypatch, command, flags):
     # the runner is replaced by a recorder: this checks option resolution only
@@ -233,7 +261,7 @@ def test_readme_lists_the_dgps_and_dists():
     split = first_cells.index("`--dist`")
     dgps = [cell.strip("`") for cell in first_cells[1:split]]
     forms = [cell.split("`")[-2] for cell in first_cells[split + 1:]]  # a row's last form
-    assert sorted(dgps) == sorted(DGPS)
+    assert dgps == list(DGPS)
     assert forms == [f"{kind}:{','.join(names)}" for kind, (names, *_) in _FAMILIES.items()]
 
 
@@ -391,7 +419,7 @@ def test_eval_sim_jobs_deterministic(tmp_path):
     # re-runs through --config, and the same seed gives the same bytes
     a, b = tmp_path / "a", tmp_path / "b"
     res = run_cli(
-        "eval-sim", "--table", 1, "--dist", "gaussian", "--sizes", "20x20",
+        "eval-sim", "--dgp", "location-shift", "--dist", "gaussian", "--sizes", "20x20",
         "--reps", 2, "--methods", "dafm,pca", "--levels", "0.25,0.5,0.75",
         "--seed", 3, "--out", a,
     )
@@ -425,5 +453,6 @@ def test_option_errors_name_their_source(sim_dir, tmp_path, capsys):
 
 def test_import_does_not_load_scipy_special():
     code = "import sys, dafm; assert 'scipy.special' not in sys.modules, 'loaded'"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_env())
     assert res.returncode == 0, res.stderr

@@ -48,6 +48,10 @@ def test_task_validation():
         ForecastTask(target=y, horizon=1, window=10, method="ar+qfm")
     with pytest.raises(ValueError, match="in \\(0, 1\\)"):
         ForecastTask(target=y, horizon=1, window=10, method="ar+qfm:1.5")
+    # one spelling per method: no bare factor method, no argument to dafm or pca
+    for method in ("dafm", "ar+", "ar+dafm:0.5", "ar+pca:2"):
+        with pytest.raises(ValueError, match="unknown method"):
+            ForecastTask(target=y, horizon=1, window=10, method=method)
     task = ForecastTask(target=y, horizon=1, window=10, method="ar+qfm:0.5")
     assert task.method == "ar+qfm:0.5"
 
@@ -173,6 +177,25 @@ def test_rolling_forecast_validation():
             X, y, ForecastTask(target=y, horizon=1, window=30, method="ar+dafm"),
             cfg=FitConfig(r=2),
         )
+
+
+def test_rolling_forecast_checks_its_target():
+    # a caller's y replaces task.target, so it is checked before any window
+    # runs: a non-finite entry would otherwise be a silent NaN forecast
+    panel, truth = gen_location_shift(8, 40, ErrorDist.gaussian(), seed=0)
+    y = np.cumsum(truth.F0[:, 0])
+    task = ForecastTask(target=y, horizon=1, window=20, method="ar")
+    bad = y.copy()
+    bad[25] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="y must be finite; row 25 is nan"):
+            rolling_forecast(panel, bad, task)
+    with pytest.raises(ValueError, match="panel has 40 rows, target has 39"):
+        rolling_forecast(panel, y[:-1], task)
+    np.testing.assert_array_equal(
+        rolling_forecast(panel, y, task)[0], rolling_forecast(panel, None, task)[0]
+    )
 
 
 def test_no_look_ahead():

@@ -1,5 +1,6 @@
 """The package's public names: every exported name resolves, and the
-smoothed-loss, kernel and plug-in wrappers that had no caller stay gone."""
+smoothed-loss, kernel, plug-in and fit-loading wrappers that had no caller
+stay gone."""
 
 import importlib
 import pkgutil
@@ -7,9 +8,9 @@ import pkgutil
 import pytest
 
 import dafm
-from dafm import losses, smooth
+from dafm import losses, serialize, smooth
 from dafm.estimator import FactorFit
-from dafm.kernels import build_kernel
+from dafm.kernels import SmoothConfig, build_kernel
 
 
 def test_every_exported_name_resolves():
@@ -22,13 +23,15 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize("owner, names", [
-    (dafm, ("plug_in_psi", "plug_in_phi")),
+    (dafm, ("plug_in_psi", "plug_in_phi", "load_fit")),
     (losses, ("smoothed_check_loss", "smoothed_check_grad", "smoothed_check_curv",
               "smoothed_composite_objective", "_sgrad_vals")),
     (smooth, ("plug_in_psi", "plug_in_phi", "AsymptoticCov")),
     (build_kernel(8), ("deriv", "deriv_v", "conforming")),
     (FactorFit, ("common_component", "n_periods", "n_series")),
-], ids=["dafm", "losses", "smooth", "Kernel", "FactorFit"])
+    (serialize, ("load_fit", "read_matrix", "parse_bool")),
+    (SmoothConfig.for_sample(50), ("bandwidth_exponent",)),
+], ids=["dafm", "losses", "smooth", "Kernel", "FactorFit", "serialize", "SmoothConfig"])
 def test_deleted_wrappers_stay_deleted(owner, names):
     exported = getattr(owner, "__all__", ())
     for name in names:
