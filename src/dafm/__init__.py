@@ -18,7 +18,6 @@ from .estimator import (
     FitConfig,
     NormalizationReport,
     fit_dafm,
-    fit_qfm,
     mean_pca,
     normalize_fit,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "FitConfig",
     "NormalizationReport",
     "fit_dafm",
-    "fit_qfm",
     "mean_pca",
     "normalize_fit",
     "Kernel",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError
-from .estimator import FitConfig, _factor_method, fit_dafm, fit_qfm, mean_pca
+from .estimator import FitConfig, _factor_method, fit_dafm, mean_pca
 from .evalmetrics import adjusted_r2, relative_mse
 from .forecast import ForecastTask, rolling_forecast
 from .grids import QuantileGrid
@@ -209,6 +209,11 @@ def cmd_fit(cfg):
 
 
 def cmd_rank(cfg):
+    # an option of the other rule would be recorded in the manifest but unused
+    if cfg["method"] == "ic" and cfg["thresholds"] != "auto":
+        raise ConfigError("--thresholds applies to --method eigen only")
+    if cfg["method"] == "eigen" and cfg["penalty"] is not None:
+        raise ConfigError("--penalty applies to --method ic only")
     panel = _load_panel_arg(cfg["panel"])
     grid = _build_grid(cfg["levels"], cfg["weights"])
     fc = _fit_config(cfg, 1)
@@ -241,7 +246,7 @@ def cmd_infer(cfg):
     kernel = build_kernel(cfg["kernel-order"])
     T = panel.values.shape[0]
     if cfg["bandwidth"] is not None:
-        scfg = SmoothConfig(kernel=kernel, bandwidth=cfg["bandwidth"])
+        scfg = SmoothConfig(kernel=kernel, h=cfg["bandwidth"])
     else:
         scfg = SmoothConfig.for_sample(T, kernel=kernel)
     # every index is checked before the fit, which takes the time
@@ -329,9 +334,12 @@ def _parse_sizes(spec):
     for part in spec.split(","):
         try:
             n, t = part.lower().split("x")
-            sizes.append((int(n), int(t)))
+            size = (int(n), int(t))
         except ValueError:
             raise ConfigError(f"--sizes expects NxT[,NxT...], got {spec!r}") from None
+        if size in sizes:
+            raise ConfigError(f"--sizes repeats {part!r}")
+        sizes.append(size)
     return sizes
 
 
@@ -339,11 +347,15 @@ def _eval_methods(spec):
     methods = [m.strip() for m in spec.split(",") if m.strip()]
     if not methods:
         raise ConfigError("--methods must list at least one method")
+    parsed = []
     for m in methods:
         try:
-            _factor_method(m)
+            method = _factor_method(m)
         except ValueError as exc:
             raise ConfigError(f"--methods: {exc}") from None
+        if method in parsed:
+            raise ConfigError(f"--methods repeats {m!r}")
+        parsed.append(method)
     return methods
 
 
@@ -353,13 +365,11 @@ def _eval_one_rep(gen, dist, N, T, seed, methods, grid, r_over):
     r = truth.n_factors if r_over is None else r_over
     rows = []
     for m in methods:
-        name, tau = _factor_method(m)
-        if name == "dafm":
-            F_hat = fit_dafm(panel, grid, FitConfig(r=r, seed=0)).F
-        elif name == "qfm":
-            F_hat = fit_qfm(panel, tau, FitConfig(r=r)).F
-        else:
+        name, fit_grid = _factor_method(m, grid)
+        if name == "pca":
             F_hat, _ = mean_pca(panel, r)
+        else:
+            F_hat = fit_dafm(panel, fit_grid, FitConfig(r=r)).F
         r2 = [adjusted_r2(truth.F0[:, j], F_hat) for j in range(truth.F0.shape[1])]
         rows.append((m, r2))
     return rows

@@ -29,7 +29,6 @@ __all__ = [
     "FactorFit",
     "NormalizationReport",
     "fit_dafm",
-    "fit_qfm",
     "mean_pca",
     "normalize_fit",
 ]
@@ -96,7 +95,8 @@ class FactorFit:
     iteration (non-increasing).  ``F`` and ``loadings`` are read-only copies
     of the arrays passed in, as ``Panel.values`` is, so a fit never changes
     after it is built and the plug-in intervals can reuse one batch per fit
-    (:mod:`dafm.smooth`).
+    (:mod:`dafm.smooth`).  A single-level fit is the K = 1 fit, with (1, N, r)
+    loadings; any other shape raises ValueError.
     """
 
     F: np.ndarray
@@ -111,6 +111,12 @@ class FactorFit:
             arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.F.ndim != 2 or self.loadings.ndim != 3 \
+                or self.loadings.shape[::2] != (len(self.grid), self.F.shape[1]):
+            raise ValueError(
+                f"expected F of shape (T, r) and loadings of shape (K={len(self.grid)}, N, r); "
+                f"got {self.F.shape} and {self.loadings.shape}"
+            )
 
     @property
     def r(self):
@@ -130,6 +136,14 @@ def _column_signs(M):
     return signs
 
 
+def _pca_factors(Z, r):
+    """The top-r left singular vectors of the T×N ``Z`` scaled by sqrt(T),
+    so F'F/T = I, with ``_column_signs``; returns ``(F, singular values)``."""
+    U, s, _ = np.linalg.svd(Z, full_matrices=False)
+    F = math.sqrt(Z.shape[0]) * U[:, :r]
+    return F * _column_signs(F), s
+
+
 def mean_pca(panel, r):
     """Classical principal-component factors of the raw panel.
 
@@ -141,25 +155,19 @@ def mean_pca(panel, r):
     T, N = X.shape
     if T <= r or N <= r:
         raise ValueError(f"panel {T}x{N} too small for {r} factors")
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    F, s = _pca_factors(X, r)
     if s[r - 1] <= s[0] * 1e-13:
         raise NumericalError(f"panel has numerical rank below {r}")
-    F = math.sqrt(T) * U[:, :r]
-    F = F * _column_signs(F)
-    Lam = X.T @ F / T
-    return F, Lam
+    return F, X.T @ F / T
 
 
 def _initial_factors(X, r, init, seed):
     """Step-one starting factors: PCA of the standardized panel, or random."""
     T = X.shape[0]
     if init == "pca":
-        mu = X.mean(axis=0)
         sd = X.std(axis=0, ddof=1)
-        sd = np.where(sd > 0, sd, 1.0)
-        U, s, _ = np.linalg.svd((X - mu) / sd, full_matrices=False)
-        F = math.sqrt(T) * U[:, :r]
-        return np.ascontiguousarray(F * _column_signs(F))
+        F, _ = _pca_factors((X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0), r)
+        return np.ascontiguousarray(F)
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((T, r)))
     return np.ascontiguousarray(math.sqrt(T) * Q * _column_signs(Q))
@@ -274,20 +282,13 @@ def fit_dafm(panel, grid, cfg):
     return _finish(grid, k_star, *_alternate(X, F0, grid, cfg))
 
 
-def fit_qfm(panel, tau, cfg):
-    """Single-level quantile factor model: ``fit_dafm`` on the one level ``tau``."""
-    if cfg.k_star not in (None, 1):
-        raise ValueError(f"a single-level fit has k_star=1, got {cfg.k_star}")
-    grid = QuantileGrid((float(tau),))
-    return fit_dafm(panel, grid, cfg)
-
-
-def _factor_method(spec):
+def _factor_method(spec, grid=None):
     """Parse a factor method, ``dafm``, ``pca`` or ``qfm:TAU``, into
-    ``(name, tau)``; ``tau`` is None unless the method is ``qfm``."""
+    ``(name, fit_grid)``, the grid the method fits on: ``grid`` for dafm,
+    the one level TAU for qfm (the single-level fit) and None for pca."""
     name, colon, arg = spec.partition(":")
     if name in ("dafm", "pca") and not colon:
-        return name, None
+        return name, grid if name == "dafm" else None
     if name != "qfm":
         raise ValueError(f"unknown method {spec!r}; expected dafm, pca or qfm:<tau>")
     try:
@@ -296,7 +297,7 @@ def _factor_method(spec):
         raise ValueError(f"method {spec!r}: qfm needs a level, e.g. qfm:0.5") from None
     if not 0.0 < tau < 1.0:
         raise ValueError(f"method {spec!r}: the qfm level must be in (0, 1), got {tau}")
-    return name, tau
+    return name, QuantileGrid((tau,))
 
 
 def normalize_fit(F_raw, loadings_raw, k):
@@ -314,8 +315,6 @@ def normalize_fit(F_raw, loadings_raw, k):
     """
     F = np.asarray(F_raw, dtype=np.float64)
     lam = np.asarray(loadings_raw, dtype=np.float64)
-    if lam.ndim == 2:
-        lam = lam[np.newaxis]
     if F.ndim != 2 or lam.ndim != 3:
         raise ValueError("expected F of shape (T, r) and loadings of shape (K, N, r)")
     T, r = F.shape

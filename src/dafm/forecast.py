@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .estimator import _alternate, _factor_method, _fit_raw, mean_pca
-from .grids import QuantileGrid
 from .panel import as_panel
 
 __all__ = ["ForecastTask", "select_lags_bic", "fit_factor_ar", "rolling_forecast"]
@@ -175,16 +174,15 @@ def _window_factors(X_win, task, grid, cfg, F_prev):
     parametrization.  ``F_prev`` warm-starts the alternating fit from the
     previous window, shifted one row.
     """
-    name, tau = _factor_method(task.method[len("ar+"):])
+    name, fit_grid = _factor_method(task.method[len("ar+"):], grid)
     if name == "pca":
         F, _ = mean_pca(X_win, cfg.r)
         return F
-    g = grid if tau is None else QuantileGrid((tau,))
     if F_prev is None:
-        F, lam, _, _ = _fit_raw(X_win, g, cfg)
+        F, lam, _, _ = _fit_raw(X_win, fit_grid, cfg)
     else:
         F0 = np.ascontiguousarray(np.vstack([F_prev[1:], F_prev[-1:]]))
-        F, lam, _, _ = _alternate(X_win, F0, g, cfg)
+        F, lam, _, _ = _alternate(X_win, F0, fit_grid, cfg)
     return F
 
 

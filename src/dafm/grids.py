@@ -43,10 +43,6 @@ class QuantileGrid:
     def __len__(self):
         return len(self.levels)
 
-    @property
-    def K(self):
-        return len(self.levels)
-
     def levels_array(self):
         return np.array(self.levels, dtype=float)
 

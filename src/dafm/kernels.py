@@ -202,36 +202,25 @@ def default_bandwidth_exponent(m):
 
 @dataclass(frozen=True)
 class SmoothConfig:
-    """Kernel plus bandwidth for the smoothed check loss.
+    """Kernel plus bandwidth ``h`` for the smoothed check loss.
 
-    Either construct from a sample size via :meth:`for_sample` (bandwidth
-    h = T^(-c) with the exponent validated against 1/m < c < 1/6) or pass any
-    finite positive bandwidth (agreement tests need un-attainable bandwidths
-    like 1e-8).
+    Either construct from a sample size via :meth:`for_sample` (h = T^(-c),
+    c the midpoint of the admissible range 1/m < c < 1/6) or pass any finite
+    positive h (agreement tests need un-attainable bandwidths like 1e-8).
     """
 
     kernel: Kernel
-    bandwidth: float
+    h: float
 
     def __post_init__(self):
-        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
-            raise ValueError("bandwidth must be finite and positive, got %r" % (self.bandwidth,))
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError("bandwidth must be finite and positive, got %r" % (self.h,))
 
     @classmethod
-    def for_sample(cls, T, kernel=None, bandwidth_exponent=None):
+    def for_sample(cls, T, kernel=None):
         """Bandwidth h = T^(-c); defaults: order-8 kernel, c = (1/m + 1/6)/2."""
         if T < 2:
             raise ValueError("sample size must be >= 2")
         if kernel is None:
             kernel = build_kernel(8)
-        m = kernel.order
-        c = default_bandwidth_exponent(m) if bandwidth_exponent is None else bandwidth_exponent
-        if not (1.0 / m < c < 1.0 / 6.0):
-            raise ValueError(
-                "bandwidth exponent %g violates 1/m < c < 1/6 for kernel order m=%d" % (c, m)
-            )
-        return cls(kernel=kernel, bandwidth=float(T) ** (-c))
-
-    @property
-    def h(self):
-        return self.bandwidth
+        return cls(kernel=kernel, h=float(T) ** (-default_bandwidth_exponent(kernel.order)))

@@ -109,8 +109,6 @@ def composite_objective(panel, F, loadings, grid):
     X = np.ascontiguousarray(as_panel(panel).values)
     F = np.ascontiguousarray(np.asarray(F, dtype=float))
     lam = np.ascontiguousarray(np.asarray(loadings, dtype=float))
-    if lam.ndim == 2:
-        lam = lam[None, :, :]
     T, N = X.shape
     K = len(grid)
     if F.shape[0] != T:

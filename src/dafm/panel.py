@@ -71,18 +71,6 @@ class Panel:
         object.__setattr__(self, "series_ids", sids)
         object.__setattr__(self, "time_labels", tlabs)
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def n_periods(self):
-        return self.values.shape[0]
-
-    @property
-    def n_series(self):
-        return self.values.shape[1]
-
 
 def as_panel(data):
     """``data`` if it is a :class:`Panel`, else a Panel of it: the one way an
@@ -142,5 +130,5 @@ def save_panel(panel, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time"] + list(panel.series_ids))
-        for t in range(panel.n_periods):
-            writer.writerow([panel.time_labels[t]] + ["%.17g" % v for v in panel.values[t]])
+        for label, row in zip(panel.time_labels, panel.values):
+            writer.writerow([label] + ["%.17g" % v for v in row])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dafm.cli
-from dafm import FitConfig, Panel, fit_qfm, load_panel, save_fit, save_panel
+from dafm import FitConfig, Panel, QuantileGrid, fit_dafm, load_panel, save_fit, save_panel
 from dafm.serialize import read_kv
 from dafm.simgen import _FAMILIES, DGPS, WEIGHT_SCHEMES
 
@@ -60,7 +60,8 @@ def test_fit_median_equals_qfm(sim_dir, tmp_path):
         "--levels", "0.5", "--out", a,
     )
     assert res.returncode == 0, res.stderr
-    save_fit(fit_qfm(load_panel(sim_dir / "panel.csv"), 0.5, FitConfig(r=2)), b / "fit")
+    fit = fit_dafm(load_panel(sim_dir / "panel.csv"), QuantileGrid((0.5,)), FitConfig(r=2))
+    save_fit(fit, b / "fit")
     for name in ["fit/F.csv", "fit/Lambda_1.csv", "fit/meta"]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -130,6 +131,19 @@ def test_config_errors_exit_2(sim_dir, tmp_path):
     res = run_cli("fit", "--panel", sim_dir / "panel.csv", "--r", 1, "--levels", 1.5,
                   "--out", tmp_path)
     assert res.returncode == 2 and "levels must lie strictly inside (0, 1)" in res.stderr
+    # a repeated eval-sim entry would repeat its rows, rep files and fits
+    for flag, value, entry in [("--sizes", "12x20,8x9,12X20", "'12X20'"),
+                               ("--methods", "dafm,pca,dafm", "'dafm'"),
+                               ("--methods", "qfm:0.5,dafm,qfm:0.50", "'qfm:0.50'")]:
+        res = run_cli("eval-sim", "--dgp", "location-shift", "--reps", 1, flag, value,
+                      "--out", tmp_path)
+        assert res.returncode == 2 and f"{flag} repeats {entry}" in res.stderr
+    # an option of the other rank rule has no effect
+    for method, flag, value in [("ic", "--thresholds", "5"), ("eigen", "--penalty", "100")]:
+        res = run_cli("rank", "--panel", sim_dir / "panel.csv", "--method", method,
+                      flag, value, "--out", tmp_path)
+        assert res.returncode == 2 and f"{flag} applies to --method" in res.stderr
+    assert not (tmp_path / "manifest").exists()
 
 
 def test_unusable_paths_exit_2(sim_dir, tmp_path, capsys):
@@ -344,6 +358,11 @@ def test_out_dir_env_default(sim_dir, tmp_path):
     assert (target / "rank.csv").exists()
     header = (target / "rank.csv").read_text().splitlines()[0]
     assert header == "k,i,eigenvalue,threshold"
+    # its manifest records the ic rule's default penalty as empty, which re-runs
+    again = tmp_path / "again"
+    res = run_cli("rank", "--config", target / "manifest", "--out", again)
+    assert res.returncode == 0, res.stderr
+    assert (again / "rank.csv").read_bytes() == (target / "rank.csv").read_bytes()
 
 
 def test_rank_ic_output(sim_dir, tmp_path):
@@ -356,6 +375,10 @@ def test_rank_ic_output(sim_dir, tmp_path):
     assert lines[0] == "l,criterion"
     assert len(lines) == 4
     assert "r_hat=" in res.stdout
+    # the manifest's thresholds=auto is the eigen rule's default, so it re-runs
+    res = run_cli("rank", "--config", tmp_path / "manifest", "--out", tmp_path / "again")
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "again" / "rank.csv").read_bytes() == (tmp_path / "rank.csv").read_bytes()
 
 
 def test_infer_output(sim_dir, tmp_path):

@@ -17,7 +17,6 @@ from dafm.estimator import (
     FitConfig,
     _outer_loop,
     fit_dafm,
-    fit_qfm,
     mean_pca,
     normalize_fit,
 )
@@ -70,7 +69,7 @@ def test_fit_is_deterministic():
 def test_normalization_identities():
     p = _panel(1, T=50, N=30)
     fit = fit_dafm(p, GRID3, FitConfig(r=2))
-    T, N = p.shape
+    T, N = p.values.shape
     r = fit.r
     # factors are orthonormal in the T-average inner product
     np.testing.assert_allclose(fit.F.T @ fit.F / T, np.eye(r), atol=1e-10)
@@ -132,6 +131,9 @@ def test_normalize_validation():
         normalize_fit(np.ones((5, 1)), np.ones((1, 3, 1)), k=2)
     with pytest.raises(ValueError, match="columns"):
         normalize_fit(np.ones((5, 2)), np.ones((1, 3, 1)), k=1)
+    # one level's loadings are (1, N, r), not N x r
+    with pytest.raises(ValueError, match="loadings of shape"):
+        normalize_fit(np.ones((5, 1)), np.ones((3, 1)), k=1)
 
 
 def test_k_star_override_and_validation():
@@ -143,14 +145,9 @@ def test_k_star_override_and_validation():
 
 
 def test_qfm_is_the_single_level_special_case():
-    p = _panel(4)
-    a = fit_qfm(p, 0.5, FitConfig(r=2))
-    b = fit_dafm(p, QuantileGrid((0.5,)), FitConfig(r=2))
-    assert np.array_equal(a.F, b.F)
-    assert np.array_equal(a.loadings, b.loadings)
-    assert np.array_equal(np.array(a.objective_trace), np.array(b.objective_trace))
+    # a single-level fit normalizes at its one level
     with pytest.raises(ValueError, match="k_star"):
-        fit_qfm(p, 0.5, FitConfig(r=2, k_star=2))
+        fit_dafm(_panel(4), QuantileGrid((0.5,)), FitConfig(r=2, k_star=2))
 
 
 def test_objective_property_matches_recomputation():
@@ -173,13 +170,26 @@ def test_factor_fit_holds_read_only_copies():
     assert fit.F[0, 0] == 0.0 and fit.loadings[0, 0, 0] == 1.0
 
 
+def test_factor_fit_checks_its_shapes():
+    fit = fit_dafm(_panel(3), GRID3, FitConfig(r=2, max_outer=5))
+    FactorFit(F=fit.F, loadings=fit.loadings[:1], grid=QuantileGrid((0.5,)))
+    for F, lam, grid in [
+        (fit.F, fit.loadings, QuantileGrid((0.5,))),  # three levels' loadings, one level
+        (fit.F, fit.loadings[0], QuantileGrid((0.5,))),  # an N x r matrix is not (1, N, r)
+        (fit.F[:, :1], fit.loadings, GRID3),  # r = 1 factor, r = 2 loading columns
+        (fit.F[:, 0], fit.loadings[:, :, :1], GRID3),  # F not 2-D
+    ]:
+        with pytest.raises(ValueError, match="expected F of shape"):
+            FactorFit(F=F, loadings=lam, grid=grid)
+
+
 def test_noiseless_panel_recovers_quantile_surface():
     # exact factor structure, no noise: the fitted median surface matches X
     rng = np.random.default_rng(21)
     F = rng.standard_normal((36, 2))
     L = rng.standard_normal((18, 2))
     p = Panel(F @ L.T)
-    fit = fit_qfm(p, 0.5, FitConfig(r=2))
+    fit = fit_dafm(p, QuantileGrid((0.5,)), FitConfig(r=2))
     np.testing.assert_allclose(fit.F @ fit.loadings[0].T, p.values, atol=1e-7)
 
 

@@ -8,13 +8,13 @@ def test_construction_and_defaults():
     g = QuantileGrid((0.1, 0.5, 0.9))
     assert g.levels == (0.1, 0.5, 0.9)
     assert g.weights == (1.0, 1.0, 1.0)
-    assert len(g) == 3 and g.K == 3
+    assert len(g) == 3
     np.testing.assert_array_equal(g.levels_array(), [0.1, 0.5, 0.9])
 
 
 def test_single_level_grid():
     g = QuantileGrid((0.5,))
-    assert g.K == 1
+    assert len(g) == 1
     assert g.median_index() == 1
 
 

@@ -53,17 +53,6 @@ def test_composite_objective_matches_naive_loops():
     assert val == pytest.approx(naive, rel=1e-12)
 
 
-def test_composite_objective_promotes_single_level_loadings():
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((6, 4))
-    F = rng.standard_normal((6, 2))
-    lam = rng.standard_normal((4, 2))
-    g = QuantileGrid((0.5,))
-    a = composite_objective(Panel(X), F, lam, g)
-    b = composite_objective(Panel(X), F, lam[None], g)
-    assert a == b
-
-
 def test_composite_objective_shape_errors():
     g = QuantileGrid((0.5,))
     X = np.zeros((4, 3))
@@ -71,10 +60,13 @@ def test_composite_objective_shape_errors():
         composite_objective(Panel(X), np.zeros((5, 1)), np.zeros((1, 3, 1)), g)
     with pytest.raises(ValueError, match="loadings shape"):
         composite_objective(Panel(X), np.zeros((4, 1)), np.zeros((2, 3, 1)), g)
+    # a single level's loadings are (1, N, r), not N x r
+    with pytest.raises(ValueError, match="loadings shape"):
+        composite_objective(Panel(X), np.zeros((4, 1)), np.zeros((3, 1)), g)
 
 
 def _scfg(h=0.7):
-    return SmoothConfig(kernel=build_kernel(8), bandwidth=h)
+    return SmoothConfig(kernel=build_kernel(8), h=h)
 
 
 def _loss(e, tau, scfg):
@@ -96,7 +88,7 @@ def test_smoothed_equals_plain_outside_bandwidth():
 def test_smoothed_loss_below_plain_for_nonnegative_kernel():
     # K in [0,1] for the order-2 variant, so smoothing only relaxes the loss;
     # higher orders have negative kernel lobes and lose this property
-    scfg = SmoothConfig(kernel=build_kernel(2), bandwidth=1.0)
+    scfg = SmoothConfig(kernel=build_kernel(2), h=1.0)
     e = np.linspace(-0.99, 0.99, 101)
     s = _loss(e, 0.3, scfg)
     c = check_loss(e, 0.3)
@@ -179,7 +171,7 @@ def _exact_cores(coef, tau, e, h):
 @pytest.mark.parametrize("m", [2, 8, 10, 12])
 def test_smoothed_cores_match_exact_polynomial(m):
     h = 0.6
-    scfg = SmoothConfig(kernel=build_kernel(m), bandwidth=h)
+    scfg = SmoothConfig(kernel=build_kernel(m), h=h)
     e = h * np.r_[np.linspace(-1.3, 1.3, 41), -1.0, 1.0, np.nextafter(1.0, 0.0), 0.0]
     for tau in (0.1, 0.5, 0.9):
         got = (_loss(e, tau, scfg), _grad(e, tau, scfg), _scurv_vals(scfg.kernel, e, h))

@@ -19,8 +19,7 @@ from dafm.panel import Panel, load_panel, save_panel
 
 def test_panel_defaults_and_shape():
     p = Panel(np.arange(12.0).reshape(4, 3))
-    assert p.shape == (4, 3)
-    assert p.n_periods == 4 and p.n_series == 3
+    assert p.values.shape == (4, 3)
     assert p.series_ids == ("s1", "s2", "s3")
     assert p.time_labels == ("t1", "t2", "t3", "t4")
 

@@ -61,7 +61,7 @@ def test_exact_and_smoothed_objective_traces_never_rise(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         fit = fit_dafm(panel, grid, cfg)
-        smoothed = fit_smoothed_dafm(panel, grid, cfg, SmoothConfig.for_sample(panel.shape[0]),
+        smoothed = fit_smoothed_dafm(panel, grid, cfg, SmoothConfig.for_sample(panel.values.shape[0]),
                                      init_fit=fit)
     assert _never_rises(fit.objective_trace)
     assert _never_rises(smoothed.objective_trace)

@@ -78,7 +78,7 @@ def test_eigen_spectrum_matches_normalized_loadings():
     r = 2
     fit = fit_dafm(p, GRID, FitConfig(r=r))
     sel = select_rank_eigen(p, GRID, s_max=r)
-    N = p.n_series
+    N = p.values.shape[1]
     for k in range(3):
         lam_n = fit.loadings[k]
         direct = np.linalg.eigvalsh(lam_n.T @ lam_n / N)[::-1]
@@ -92,7 +92,7 @@ def test_eigen_trace_identity():
     cfg = FitConfig(r=s_max)
     sel = select_rank_eigen(p, GRID, s_max=s_max, cfg=cfg)
     F, lam, _, _ = _fit_raw(p.values, GRID, FitConfig(r=s_max))
-    T, N = p.shape
+    T, N = p.values.shape
     A = F.T @ F / T
     for k in range(3):
         S = lam[k].T @ lam[k] / N

@@ -50,7 +50,7 @@ def _t2_fits():
 
 def test_smoothed_fit_basics():
     panel, _, grid, _, _, _, sm = _t2_fits()
-    T = panel.n_periods
+    T = panel.values.shape[0]
     assert sm.converged
     trace = np.array(sm.objective_trace)
     assert np.all(np.diff(trace) <= 1e-8)
@@ -75,7 +75,7 @@ def test_smoothed_and_base_fits_agree_on_the_factor_space():
 
 def test_vanishing_bandwidth_recovers_the_exact_objective():
     panel, _, grid, cfg, base, _, _ = _t2_fits()
-    tiny = SmoothConfig(kernel=build_kernel(8), bandwidth=1e-8)
+    tiny = SmoothConfig(kernel=build_kernel(8), h=1e-8)
     s = _smoothed_objective_core(panel.values, base.F, base.loadings, grid.levels_array(),
                                  grid.weights_array(), tiny.h, tiny.kernel)
     m = composite_objective(panel, base.F, base.loadings, grid)
@@ -94,7 +94,7 @@ def test_component_distance_shrinks_with_the_bandwidth():
 
     def dist_at(h):
         sm = fit_smoothed_dafm(
-            panel, grid, cfg, SmoothConfig(kernel=kern, bandwidth=h), init_fit=base
+            panel, grid, cfg, SmoothConfig(kernel=kern, h=h), init_fit=base
         )
         return max(
             np.linalg.norm(sm.F @ sm.loadings[k].T - base.F @ base.loadings[k].T)
@@ -139,7 +139,7 @@ def test_plug_in_psi_recovers_uniform_density():
     # Each Psi_t averages N=500 draws, so test the time-average tightly and
     # individual periods loosely.
     fit, panel, lam = _known_fit()
-    scfg = SmoothConfig(kernel=build_kernel(8), bandwidth=4.0)
+    scfg = SmoothConfig(kernel=build_kernel(8), h=4.0)
     psi = smooth._psi(fit.grid.weights_array(), fit.loadings, _raw_curvature(fit, panel, scfg))
     assert psi.shape == (400, 2, 2)
     target = 0.1 * lam[0].T @ lam[0] / lam.shape[1]
@@ -154,8 +154,8 @@ def test_plug_in_phi_recovers_uniform_density():
     # curvature draws, so test the average over series tightly and the
     # per-series estimates loosely.
     fit, panel, lam = _known_fit(seed=1)
-    scfg = SmoothConfig(kernel=build_kernel(8), bandwidth=4.0)
-    target = 0.1 * fit.F.T @ fit.F / panel.n_periods
+    scfg = SmoothConfig(kernel=build_kernel(8), h=4.0)
+    target = 0.1 * fit.F.T @ fit.F / panel.values.shape[0]
     scale = np.abs(target).max()
     phis = smooth._phi(fit.F, _raw_curvature(fit, panel, scfg))[0]
     assert phis.shape == (500, 2, 2)
@@ -218,7 +218,7 @@ def test_loading_ci_matches_manual_sandwich():
     # negative curvature
     raw_curvature = _raw_curvature(fit, panel, scfg)
     phi = smooth._phi(fit.F, np.maximum(raw_curvature, DENSITY_FLOOR))[1, 4]
-    cov = tau * (1 - tau) * (np.linalg.inv(phi) @ np.linalg.inv(phi)) / panel.n_periods
+    cov = tau * (1 - tau) * (np.linalg.inv(phi) @ np.linalg.inv(phi)) / panel.values.shape[0]
     np.testing.assert_allclose(ci.cov, cov, rtol=1e-12, atol=1e-15)
     raw = smooth._phi(fit.F, raw_curvature)[1, 4]
     assert np.linalg.eigvalsh(phi)[0] > 0.0
@@ -324,8 +324,8 @@ def test_interval_batch_is_never_reused_for_other_inputs():
     # each differs from base in one input; base runs before and after each,
     # so a batch keyed on too little would be served to it
     variants = [(FactorFit(F=fit.F + 0.05, loadings=fit.loadings, grid=fit.grid), panel, scfg),
-                (fit, Panel(panel.values + 0.1 * rng.standard_normal(panel.shape)), scfg),
-                (fit, panel, SmoothConfig(kernel=scfg.kernel, bandwidth=2.0 * scfg.h)),
+                (fit, Panel(panel.values + 0.1 * rng.standard_normal(panel.values.shape)), scfg),
+                (fit, panel, SmoothConfig(kernel=scfg.kernel, h=2.0 * scfg.h)),
                 (fit, X, scfg)]
     for ci_fn, idx in [(factor_ci, (5,)), (loading_ci, (2, 7))]:
         expected = _fresh(ci_fn, *base, *idx)
