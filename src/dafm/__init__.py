@@ -16,7 +16,6 @@ from .losses import check_loss, composite_objective
 from .estimator import (
     FactorFit,
     FitConfig,
-    NormalizationReport,
     fit_dafm,
     mean_pca,
     normalize_fit,
@@ -54,7 +53,6 @@ __all__ = [
     "composite_objective",
     "FactorFit",
     "FitConfig",
-    "NormalizationReport",
     "fit_dafm",
     "mean_pca",
     "normalize_fit",

@@ -13,6 +13,7 @@ configuration errors (an unusable path included), 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -169,6 +170,7 @@ def _fit_config(cfg, r, k_star=None):
 
 
 def _load_panel_arg(path):
+    # each runner makes the checks that need no panel before it calls this
     if not os.path.exists(path):
         raise ConfigError(f"panel file not found: {path}")
     return load_panel(path)
@@ -196,10 +198,9 @@ def cmd_simulate(cfg):
 
 
 def cmd_fit(cfg):
-    panel = _load_panel_arg(cfg["panel"])
     grid = _build_grid(cfg["levels"], cfg["weights"])
     fc = _fit_config(cfg, cfg["r"], cfg["k-star"])
-    fit = fit_dafm(panel, grid, fc)
+    fit = fit_dafm(_load_panel_arg(cfg["panel"]), grid, fc)
     outdir = cfg["out"]
     save_fit(fit, os.path.join(outdir, "fit"))
     print(
@@ -209,42 +210,48 @@ def cmd_fit(cfg):
 
 
 def cmd_rank(cfg):
+    if cfg["method"] not in ("ic", "eigen"):
+        raise ConfigError(f"--method must be ic or eigen, got {cfg['method']!r}")
     # an option of the other rule would be recorded in the manifest but unused
     if cfg["method"] == "ic" and cfg["thresholds"] != "auto":
         raise ConfigError("--thresholds applies to --method eigen only")
     if cfg["method"] == "eigen" and cfg["penalty"] is not None:
         raise ConfigError("--penalty applies to --method ic only")
-    panel = _load_panel_arg(cfg["panel"])
+    thresholds = cfg["thresholds"]
+    if thresholds != "auto":
+        thresholds = parse_floats(thresholds)
     grid = _build_grid(cfg["levels"], cfg["weights"])
     fc = _fit_config(cfg, 1)
+    panel = _load_panel_arg(cfg["panel"])
     path = os.path.join(cfg["out"], "rank.csv")
     if cfg["method"] == "ic":
         sel = select_rank_ic(panel, grid, s_max=cfg["smax"], penalty=cfg["penalty"], cfg=fc)
         write_table(path, ["l", "criterion"], enumerate(sel.criteria, start=1))
-    elif cfg["method"] == "eigen":
-        thresholds = cfg["thresholds"]
-        if thresholds != "auto":
-            thresholds = parse_floats(thresholds)
+    else:
         sel = select_rank_eigen(panel, grid, s_max=cfg["smax"], thresholds=thresholds, cfg=fc)
         write_table(path, ["k", "i", "eigenvalue", "threshold"], [
             (k + 1, i + 1, eig, sel.thresholds[k])
             for k, row in enumerate(sel.criteria) for i, eig in enumerate(row)
         ])
-    else:
-        raise ConfigError(f"--method must be ic or eigen, got {cfg['method']!r}")
     print(f"wrote {path}: method={sel.method} r_hat={sel.r_hat}")
 
 
 def cmd_infer(cfg):
-    panel = _load_panel_arg(cfg["panel"])
-    grid = _build_grid(cfg["levels"], cfg["weights"])
     if (cfg["t"] is None) == (cfg["loading"] is None):
         raise ConfigError("pass exactly one of --t (factor CI) or --loading K,I")
     if not 0.0 < cfg["level"] < 1.0:
         raise ConfigError(f"--level must be in (0, 1), got {cfg['level']}")
+    grid = _build_grid(cfg["levels"], cfg["weights"])
+    if cfg["loading"] is not None:
+        try:
+            k, i = (int(v) for v in cfg["loading"].split(","))
+        except ValueError:
+            raise ConfigError("--loading expects K,I (1-based integers)") from None
+        _check_index("level", k, len(grid))
     fc = _fit_config(cfg, cfg["r"])
     kernel = build_kernel(cfg["kernel-order"])
-    T = panel.values.shape[0]
+    panel = _load_panel_arg(cfg["panel"])
+    T, N = panel.values.shape
     if cfg["bandwidth"] is not None:
         scfg = SmoothConfig(kernel=kernel, h=cfg["bandwidth"])
     else:
@@ -254,12 +261,7 @@ def cmd_infer(cfg):
         if cfg["t"] > T:
             raise ConfigError(f"--t {cfg['t']} exceeds panel length {T}")
     else:
-        try:
-            k, i = (int(v) for v in cfg["loading"].split(","))
-        except ValueError:
-            raise ConfigError("--loading expects K,I (1-based integers)") from None
-        _check_index("level", k, len(grid))
-        _check_index("series", i, panel.values.shape[1])
+        _check_index("series", i, N)
     fit = fit_smoothed_dafm(panel, grid, fc, scfg)
     if cfg["t"] is not None:
         ci = factor_ci(fit, panel, scfg, cfg["t"], level=cfg["level"])
@@ -287,23 +289,21 @@ def _target_column(panel, spec):
 
 
 def cmd_forecast(cfg):
-    panel = _load_panel_arg(cfg["panel"])
     grid = _build_grid(cfg["levels"], cfg["weights"])
-    col = _target_column(panel, cfg["target"])
-    y = panel.values[:, col]
+    fc = None
+    if cfg["method"] != "ar":
+        if cfg["r"] is None:
+            raise ConfigError(f"--r is required for method {cfg['method']!r}")
+        fc = _fit_config(cfg, cfg["r"])
+    panel = _load_panel_arg(cfg["panel"])
     task = ForecastTask(
-        target=y,
+        target=panel.values[:, _target_column(panel, cfg["target"])],
         horizon=cfg["horizon"],
         window=cfg["window"],
         max_lag=cfg["max-lag"],
         method=cfg["method"],
     )
-    fc = None
-    if task.method != "ar":
-        if cfg["r"] is None:
-            raise ConfigError(f"--r is required for method {task.method!r}")
-        fc = _fit_config(cfg, cfg["r"])
-    forecasts, actuals = rolling_forecast(panel, y, task, grid=grid, cfg=fc)
+    forecasts, actuals = rolling_forecast(panel, None, task, grid=grid, cfg=fc)
     outdir = cfg["out"]
     W = task.window
     path = os.path.join(outdir, "forecasts.csv")
@@ -313,10 +313,7 @@ def cmd_forecast(cfg):
     ])
     # benchmark for the summary: the same rolling scheme without factors
     if task.method != "ar":
-        ar_task = ForecastTask(
-            target=y, horizon=task.horizon, window=W, max_lag=task.max_lag, method="ar"
-        )
-        base, _ = rolling_forecast(panel, y, ar_task)
+        base, _ = rolling_forecast(panel, None, dataclasses.replace(task, method="ar"))
         ok = ~(np.isnan(forecasts) | np.isnan(base))
         rel = (
             relative_mse(forecasts[ok], actuals[ok], base[ok]) if ok.any() else float("nan")

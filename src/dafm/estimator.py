@@ -5,9 +5,10 @@ regressions for the loadings and per-period composite quantile regressions
 for the factors — until the relative change of the weighted objective drops
 below tolerance, then rotates the solution to the normalized parametrization
 (orthonormal factors, diagonalized loading cross-product at one reference
-level).  The kernel-smoothed fit (:mod:`dafm.smooth`) shares the outer loop
-``_outer_loop`` and the sweep pair of :mod:`dafm.solvers`; the fits differ
-in the batched solve and the objective they plug in.
+level, which the fit records as ``FactorFit.k_star``).  The kernel-smoothed
+fit (:mod:`dafm.smooth`) shares the outer loop ``_outer_loop`` and the sweep
+pair of :mod:`dafm.solvers`; the fits differ in the batched solve and the
+objective they plug in.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .solvers import _exact_solve, _factor_sweep, _loading_sweep
 __all__ = [
     "FitConfig",
     "FactorFit",
-    "NormalizationReport",
     "fit_dafm",
     "mean_pca",
     "normalize_fit",
@@ -36,6 +36,11 @@ __all__ = [
 #: A factor entry above this in magnitude aborts a fit as diverged (a
 #: divergence detector only; no box constraint is imposed).
 MAGNITUDE_GUARD = 1e8
+
+
+def _is_int(value):
+    """Whether ``value`` is an int or a numpy integer (a bool is neither)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,24 +70,8 @@ class FitConfig:
             raise ValueError(
                 f"init must be 'pca' or 'random-orthonormal', got {self.init!r}"
             )
-        if self.k_star is not None and self.k_star < 1:
+        if self.k_star is not None and not (_is_int(self.k_star) and self.k_star >= 1):
             raise ValueError(f"k_star is a 1-based index, got {self.k_star}")
-
-
-@dataclass(frozen=True)
-class NormalizationReport:
-    """Rotation that produced the normalized parametrization.
-
-    ``H`` maps raw factors to normalized ones (``F_new = F_raw @ H``), ``U``
-    is the orthogonal eigenvector matrix of the diagonalized product, ``D``
-    its non-increasing eigenvalues, and ``k_star`` the 1-based quantile index
-    whose loadings were diagonalized.
-    """
-
-    H: np.ndarray
-    U: np.ndarray
-    D: np.ndarray
-    k_star: int
 
 
 @dataclass(frozen=True)
@@ -96,7 +85,9 @@ class FactorFit:
     of the arrays passed in, as ``Panel.values`` is, so a fit never changes
     after it is built and the plug-in intervals can reuse one batch per fit
     (:mod:`dafm.smooth`).  A single-level fit is the K = 1 fit, with (1, N, r)
-    loadings; any other shape raises ValueError.
+    loadings; any other shape raises ValueError.  ``k_star`` is the 1-based
+    level whose loading cross-product the normalization diagonalized, or
+    None for a fit built by hand.
     """
 
     F: np.ndarray
@@ -104,7 +95,7 @@ class FactorFit:
     grid: QuantileGrid
     objective_trace: tuple = ()
     converged: bool = False
-    normalization: NormalizationReport | None = None
+    k_star: int | None = None
 
     def __post_init__(self):
         for name in ("F", "loadings"):
@@ -117,6 +108,11 @@ class FactorFit:
                 f"expected F of shape (T, r) and loadings of shape (K={len(self.grid)}, N, r); "
                 f"got {self.F.shape} and {self.loadings.shape}"
             )
+        k = self.k_star
+        if k is not None:
+            if not (_is_int(k) and 1 <= k <= len(self.grid)):
+                raise ValueError(f"k_star must be None or an int in 1..{len(self.grid)}, got {k!r}")
+            object.__setattr__(self, "k_star", int(k))
 
     @property
     def r(self):
@@ -256,9 +252,9 @@ def _setup(panel, cfg, grid=None):
 
 def _finish(grid, k_star, F, lam, trace, converged):
     """The end every fit shares: normalize a raw fit into a FactorFit."""
-    F_n, lam_n, report = normalize_fit(F, lam, k_star)
+    F_n, lam_n = normalize_fit(F, lam, k_star)
     return FactorFit(F=F_n, loadings=lam_n, grid=grid, objective_trace=trace,
-                     converged=converged, normalization=report)
+                     converged=converged, k_star=k_star)
 
 
 def _fit_raw(X, grid, cfg):
@@ -309,7 +305,7 @@ def normalize_fit(F_raw, loadings_raw, k):
     common component Lambda_j F' is preserved exactly.  Column signs are
     fixed so each factor's largest-magnitude entry is positive.
 
-    Returns ``(F, loadings, NormalizationReport)``.  Raises
+    Returns ``(F, loadings)``.  Raises
     :class:`NumericalError` when the factors or the level-k loadings are rank
     deficient, which leaves the rotation unidentified.
     """
@@ -352,8 +348,5 @@ def normalize_fit(F_raw, loadings_raw, k):
     F_n = F @ H
     signs = _column_signs(F_n)
     F_n = F_n * signs
-    H = H * signs
-    U = U * signs
     lam_n = np.ascontiguousarray(lam @ (H_inv.T * signs))
-    report = NormalizationReport(H=H, U=U, D=d, k_star=int(k))
-    return np.ascontiguousarray(F_n), lam_n, report
+    return np.ascontiguousarray(F_n), lam_n

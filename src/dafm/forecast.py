@@ -235,7 +235,7 @@ def rolling_forecast(panel, y, task, grid=None, cfg=None):
             if F_win is not None and beta_f.size:
                 pred += float(F_win[-1] @ beta_f)
             forecasts[j] = y[s] + pred
-        except (NumericalError, ValueError, np.linalg.LinAlgError) as exc:
+        except (NumericalError, ValueError) as exc:  # LinAlgError is a ValueError
             failures.append((s, str(exc)))
             F_prev = None
     if failures:

@@ -6,7 +6,9 @@ k is an even polynomial kernel supported on [-1, 1]: integral 1, moments
 1..m-1 vanishing, twice continuously differentiable (k and k' vanish at the
 support edges).  K(u) = int_u^1 k(s) ds is the survival function used by the
 smoothed check loss; K(u) = 1 for u <= -1 and 0 for u >= 1 exactly.
-Polynomial coefficients are stored ascending in powers of s.
+Polynomial coefficients are stored ascending in powers of s.  The order m is
+even and at least 8; ``build_kernel`` builds each order once, and kernels
+compare by identity.
 
 Because k is even, every quantity built from it is one short polynomial in
 v = u^2 on |u| < 1.  With a_2j the even coefficients of k:
@@ -95,8 +97,7 @@ class Kernel:
     must be zero.  ``pdf_v``, ``surv_v``, ``grad_v`` and ``curv_v`` are the
     derived coefficients P, S, G and C in v = s^2 (see the module
     docstring).  Orders m >= 8 admit a bandwidth exponent under
-    1/m < c < 1/6; the m=2 Epanechnikov variant exists for unit tests only.
-    Kernels compare and hash by ``(order, coef)``.
+    1/m < c < 1/6.
     """
 
     order: int
@@ -123,15 +124,6 @@ class Kernel:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    def _key(self):
-        return self.order, tuple(self.coef.tolist())
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, Kernel) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
     def pdf(self, u):
         _, v, outside = _reduce(np.asarray(u, dtype=float), 1.0)
         return _scalar_out(_even_vals(self.pdf_v, v, outside, 0.0))
@@ -148,23 +140,20 @@ class Kernel:
 def build_kernel(m):
     """Construct the order-m kernel.
 
-    m must be even with m >= 8 (Assumption-compatible orders); m=2 returns the
-    Epanechnikov kernel, for unit tests only.  Orders 4 and 6 are rejected:
-    no admissible bandwidth exponent exists below order 8.  Each order is
-    built once and then shared: a ``Kernel`` is frozen and its arrays are
-    read-only.
+    m must be even with m >= 8 (Assumption-compatible orders): no admissible
+    bandwidth exponent exists below order 8.  Each order is built once and
+    then shared, so a kernel compares by identity: a ``Kernel`` is frozen and
+    its arrays are read-only.
     """
     return _build_kernel(int(m))
 
 
 @functools.lru_cache(maxsize=None)
 def _build_kernel(m):
-    if m == 2:
-        return Kernel(order=2, coef=np.array([0.75, 0.0, -0.75]))
     if m % 2 != 0:
         raise ValueError("kernel order must be even, got %d" % m)
     if m < 8:
-        raise ValueError("kernel order must be 2 (test variant) or an even value >= 8, got %d" % m)
+        raise ValueError("kernel order must be an even value >= 8, got %d" % m)
 
     # k(s) = q(s) * (1-s^2)^3 with q even of degree m-2; moment system over Fractions:
     #   int s^{2i} q(s) (1-s^2)^3 ds = delta_{i0},  i = 0..m/2-1,

@@ -96,7 +96,7 @@ def save_fit(fit, dirpath):
     meta = {
         "levels": fit.grid.levels,
         "weights": fit.grid.weights,
-        "k_star": fit.normalization.k_star if fit.normalization is not None else "",
+        "k_star": "" if fit.k_star is None else fit.k_star,
         "trace": fit.objective_trace,
         "converged": fit.converged,
     }

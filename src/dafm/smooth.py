@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .estimator import _finish, _outer_loop, _setup, fit_dafm
+from .estimator import _finish, _is_int, _outer_loop, _setup, fit_dafm
 from .kernels import SmoothConfig
 from .losses import _scurv_vals, _sgrad_curv_vals, _sloss_vals, _smoothed_objective_core
 from .panel import as_panel
@@ -235,6 +235,9 @@ def _fit_arrays(fit, panel):
 
 
 def _check_index(name, value, upper):
+    """A 1-based index is an int or a numpy integer (not a bool) in 1..upper."""
+    if not _is_int(value):
+        raise ValueError(f"{name} index must be an integer, got {value!r}")
     if not 1 <= value <= upper:
         raise ValueError(f"{name} index must be in 1..{upper}, got {value}")
 

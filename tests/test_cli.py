@@ -202,7 +202,9 @@ def test_non_finite_dist_parameters_are_dist_errors(tmp_path, capsys, dist, mess
     assert capsys.readouterr().err == f"error: --dist {dist!r}: {message}\n"
 
 
-@pytest.mark.parametrize("command, flags", [
+# One accepted command line per manifest shape; the eigen rank row comes last
+# so that the earlier rows keep their positions.
+MANIFEST_ROWS = [
     ("simulate", ["--dgp", "location-shift", "--dist", "t:5", "--n", "12", "--t", "30",
                   "--seed", "4"]),
     ("fit", ["--panel", "p.csv", "--r", "2", "--levels", "0.25,0.5,0.75", "--weights",
@@ -210,15 +212,20 @@ def test_non_finite_dist_parameters_are_dist_errors(tmp_path, capsys, dist, mess
              "random-orthonormal", "--seed", "3"]),
     ("fit", ["--panel", "p.csv", "--levels", "0.3", "--r", "1", "--tol", "2.5e-7"]),
     ("rank", ["--panel", "p.csv", "--method", "ic", "--smax", "4", "--penalty", "0.75",
-              "--thresholds", "0.1,0.2", "--levels", "0.5"]),
+              "--levels", "0.5"]),
     ("infer", ["--panel", "p.csv", "--r", "2", "--loading", "1,3", "--level", "0.9",
-               "--kernel-order", "4", "--bandwidth", "0.35"]),
+               "--kernel-order", "10", "--bandwidth", "0.35"]),
     ("forecast", ["--panel", "p.csv", "--target", "2", "--horizon", "2", "--window", "30",
                   "--max-lag", "0", "--method", "ar"]),
     ("eval-sim", ["--dgp", "location-scale-shift", "--sizes", "10x20,20x20", "--reps", "3",
                   "--methods", "dafm,qfm:0.5", "--r", "1", "--levels", "0.2,0.5,0.8",
                   "--weights", "1,2,1", "--seed", "5"]),
-])
+    ("rank", ["--panel", "p.csv", "--method", "eigen", "--smax", "3",
+              "--thresholds", "0.1,0.2", "--levels", "0.25,0.75"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", MANIFEST_ROWS)
 def test_every_manifest_reruns_to_the_same_options(tmp_path, monkeypatch, command, flags):
     # the runner is replaced by a recorder: this checks option resolution only
     seen = []
@@ -231,6 +238,16 @@ def test_every_manifest_reruns_to_the_same_options(tmp_path, monkeypatch, comman
     first, again = seen
     assert list(first) == [name for name, _, _ in options if name != "config"]
     assert again == dict(first, out=out_again)
+
+
+@pytest.mark.parametrize("command, flags", [row for row in MANIFEST_ROWS if "--panel" in row[1]])
+def test_every_manifest_row_passes_the_runner_checks(tmp_path, monkeypatch, capsys,
+                                                     command, flags):
+    # every runner checks its options before it reads the panel, so a row the
+    # real runner accepts fails on the missing panel file alone
+    monkeypatch.chdir(tmp_path)
+    assert dafm.cli.main([command, *flags, "--out", "out"]) == 2
+    assert capsys.readouterr().err == "error: panel file not found: p.csv\n"
 
 
 def test_manifest_rerun_never_writes_into_the_first_run(sim_dir, tmp_path, monkeypatch):
@@ -419,6 +436,24 @@ def test_infer_checks_its_indices_before_the_fit(sim_dir, tmp_path, monkeypatch,
     ]:
         assert dafm.cli.main(argv + flags) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["infer", "--r", "2"], "pass exactly one of --t (factor CI) or --loading K,I"),
+    (["infer", "--r", "2", "--t", "1", "--level", "1.5"], "--level must be in (0, 1), got 1.5"),
+    (["infer", "--r", "2", "--loading", "1"], "--loading expects K,I (1-based integers)"),
+    (["infer", "--r", "2", "--loading", "9,1"], "level index must be in 1..5, got 9"),
+    (["infer", "--r", "2", "--t", "1", "--kernel-order", "2", "--bandwidth", "0.5"],
+     "kernel order must be an even value >= 8, got 2"),
+    (["infer", "--r", "2", "--t", "1", "--kernel-order", "9"], "kernel order must be even, got 9"),
+    (["forecast", "--target", "1", "--method", "ar+pca"], "--r is required for method 'ar+pca'"),
+    (["rank", "--method", "bad"], "--method must be ic or eigen, got 'bad'"),
+], ids=["infer-t-or-loading", "infer-level", "infer-loading-format", "infer-loading-level",
+        "infer-kernel-order-2", "infer-kernel-order-9", "forecast-r", "rank-method"])
+def test_option_errors_come_before_the_panel_read(tmp_path, capsys, argv, message):
+    argv = argv + ["--panel", str(tmp_path / "missing.csv"), "--out", str(tmp_path)]
+    assert dafm.cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_forecast_cli(sim_dir, tmp_path):

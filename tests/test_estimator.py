@@ -46,6 +46,9 @@ def test_fit_config_validation():
         FitConfig(r=2, max_outer=0)
     with pytest.raises(ValueError, match="init"):
         FitConfig(r=2, init="warm")
+    for k_star in (0, 2.0, True):
+        with pytest.raises(ValueError, match="k_star is a 1-based index"):
+            FitConfig(r=2, k_star=k_star)
 
 
 def test_objective_trace_is_monotone_and_converges():
@@ -74,7 +77,7 @@ def test_normalization_identities():
     # factors are orthonormal in the T-average inner product
     np.testing.assert_allclose(fit.F.T @ fit.F / T, np.eye(r), atol=1e-10)
     # reference-level loading cross-product is diagonal, non-increasing
-    k_star = fit.normalization.k_star
+    k_star = fit.k_star
     G = fit.loadings[k_star - 1].T @ fit.loadings[k_star - 1] / N
     off = G - np.diag(np.diag(G))
     assert np.abs(off).max() <= 1e-10
@@ -89,12 +92,12 @@ def test_normalize_preserves_common_components():
     rng = np.random.default_rng(9)
     F_raw = rng.standard_normal((30, 3)) @ np.diag([3.0, 1.0, 0.5])
     lam_raw = rng.standard_normal((2, 12, 3))
-    F_n, lam_n, report = normalize_fit(F_raw, lam_raw, k=1)
+    F_n, lam_n = normalize_fit(F_raw, lam_raw, k=1)
     for k in range(2):
         np.testing.assert_allclose(
             F_n @ lam_n[k].T, F_raw @ lam_raw[k].T, atol=1e-10
         )
-    assert np.all(np.diff(report.D) <= 1e-12)
+    assert np.all(np.diff(np.diag(lam_n[0].T @ lam_n[0] / lam_n.shape[1])) <= 1e-12)
 
 
 def test_normalize_reference_level_only_rotates():
@@ -102,8 +105,8 @@ def test_normalize_reference_level_only_rotates():
     rng = np.random.default_rng(14)
     F_raw = rng.standard_normal((40, 2))
     lam_raw = rng.standard_normal((3, 15, 2))
-    F1, lam1, _ = normalize_fit(F_raw, lam_raw, k=1)
-    F3, lam3, _ = normalize_fit(F_raw, lam_raw, k=3)
+    F1, lam1 = normalize_fit(F_raw, lam_raw, k=1)
+    F3, lam3 = normalize_fit(F_raw, lam_raw, k=3)
     for k in range(3):
         np.testing.assert_allclose(F1 @ lam1[k].T, F3 @ lam3[k].T, atol=1e-9)
 
@@ -139,9 +142,20 @@ def test_normalize_validation():
 def test_k_star_override_and_validation():
     p = _panel(2)
     fit = fit_dafm(p, GRID3, FitConfig(r=1, k_star=3))
-    assert fit.normalization.k_star == 3
+    assert fit.k_star == 3
     with pytest.raises(ValueError, match="k_star"):
         fit_dafm(p, GRID3, FitConfig(r=1, k_star=4))
+
+
+def test_factor_fit_checks_its_k_star():
+    fit = fit_dafm(_panel(5), GRID3, FitConfig(r=1))
+    assert fit.k_star == 2
+    for k_star in (None, 1, 3, np.int64(3)):
+        kept = FactorFit(F=fit.F, loadings=fit.loadings, grid=GRID3, k_star=k_star)
+        assert kept.k_star == k_star and type(kept.k_star) in (type(None), int)
+    for k_star in (0, len(GRID3) + 1, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="k_star must be None or an int in 1..3"):
+            FactorFit(F=fit.F, loadings=fit.loadings, grid=GRID3, k_star=k_star)
 
 
 def test_qfm_is_the_single_level_special_case():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dafm.grids import QuantileGrid
-from dafm.kernels import SmoothConfig, build_kernel
+from dafm.kernels import Kernel, SmoothConfig, build_kernel
 from dafm.losses import (
     _scurv_vals,
     _sgrad_curv_vals,
@@ -16,6 +16,12 @@ from dafm.losses import (
     composite_objective,
 )
 from dafm.panel import Panel
+
+
+def _kernel(m):
+    """The order-m kernel; order 2 is the Epanechnikov kernel, which
+    ``build_kernel`` rejects."""
+    return Kernel(order=2, coef=np.array([0.75, 0.0, -0.75])) if m == 2 else build_kernel(m)
 
 
 def test_check_loss_known_values():
@@ -88,7 +94,7 @@ def test_smoothed_equals_plain_outside_bandwidth():
 def test_smoothed_loss_below_plain_for_nonnegative_kernel():
     # K in [0,1] for the order-2 variant, so smoothing only relaxes the loss;
     # higher orders have negative kernel lobes and lose this property
-    scfg = SmoothConfig(kernel=build_kernel(2), h=1.0)
+    scfg = SmoothConfig(kernel=_kernel(2), h=1.0)
     e = np.linspace(-0.99, 0.99, 101)
     s = _loss(e, 0.3, scfg)
     c = check_loss(e, 0.3)
@@ -171,7 +177,7 @@ def _exact_cores(coef, tau, e, h):
 @pytest.mark.parametrize("m", [2, 8, 10, 12])
 def test_smoothed_cores_match_exact_polynomial(m):
     h = 0.6
-    scfg = SmoothConfig(kernel=build_kernel(m), h=h)
+    scfg = SmoothConfig(kernel=_kernel(m), h=h)
     e = h * np.r_[np.linspace(-1.3, 1.3, 41), -1.0, 1.0, np.nextafter(1.0, 0.0), 0.0]
     for tau in (0.1, 0.5, 0.9):
         got = (_loss(e, tau, scfg), _grad(e, tau, scfg), _scurv_vals(scfg.kernel, e, h))

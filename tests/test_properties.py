@@ -29,7 +29,7 @@ def test_normalize_fit_preserves_every_common_component(r, K, extra_T, extra_N, 
     # unequal column scales and a shift, so the rotation is far from identity
     F = rng.standard_normal((T, r)) * rng.uniform(0.1, 10.0, r) + rng.standard_normal(r)
     lam = rng.standard_normal((K, N, r))
-    F_n, lam_n, _ = normalize_fit(F, lam, min(k, K))
+    F_n, lam_n = normalize_fit(F, lam, min(k, K))
     for j in range(K):
         before = F @ lam[j].T
         after = F_n @ lam_n[j].T

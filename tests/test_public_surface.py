@@ -1,7 +1,7 @@
 """The package's public names: every exported name resolves, and the
 smoothed-loss, kernel, plug-in and fit-loading wrappers that had no caller,
-and the second spellings of a single-level fit, a shape and a bandwidth,
-stay gone."""
+the second spellings of a single-level fit, a shape and a bandwidth, and the
+normalization report, stay gone."""
 
 import importlib
 import pkgutil
@@ -26,15 +26,15 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize("owner, names", [
-    (dafm, ("plug_in_psi", "plug_in_phi", "load_fit", "fit_qfm")),
+    (dafm, ("plug_in_psi", "plug_in_phi", "load_fit", "fit_qfm", "NormalizationReport")),
     (losses, ("smoothed_check_loss", "smoothed_check_grad", "smoothed_check_curv",
               "smoothed_composite_objective", "_sgrad_vals")),
     (smooth, ("plug_in_psi", "plug_in_phi", "AsymptoticCov")),
-    (build_kernel(8), ("deriv", "deriv_v", "conforming")),
-    (FactorFit, ("common_component", "n_periods", "n_series")),
+    (build_kernel(8), ("deriv", "deriv_v", "conforming", "_key")),
+    (FactorFit, ("common_component", "n_periods", "n_series", "normalization")),
     (serialize, ("load_fit", "read_matrix", "parse_bool")),
     (SmoothConfig.for_sample(50), ("bandwidth_exponent", "bandwidth")),
-    (estimator, ("fit_qfm",)),
+    (estimator, ("fit_qfm", "NormalizationReport")),
     (QuantileGrid((0.5,)), ("K",)),
     (Panel([[1.0]]), ("shape", "n_periods", "n_series")),
 ], ids=["dafm", "losses", "smooth", "Kernel", "FactorFit", "serialize", "SmoothConfig",

@@ -91,8 +91,8 @@ def test_fit_round_trip_is_bit_identical(tmp_path):
     assert parse_floats(meta["weights"]) == fit.grid.weights
     assert parse_floats(meta["trace"]) == fit.objective_trace
     assert meta["converged"] == str(fit.converged).lower()
-    # the derived normalization report is not serialized, only its k_star
-    assert meta["k_star"] == str(fit.normalization.k_star)
+    # the normalization level is written as its 1-based index
+    assert meta["k_star"] == str(fit.k_star)
     # saving the read-back fit reproduces the files byte for byte
     loaded = FactorFit(
         F=F, loadings=loadings,
@@ -108,7 +108,7 @@ def test_fit_round_trip_is_bit_identical(tmp_path):
 def test_fit_directory_contents(tmp_path):
     F = np.array([[1.0], [2.0], [-3.0]])
     lam = np.array([[[0.5], [1.5]]])
-    # a hand-built fit exercises save_fit without a normalization report
+    # a hand-built fit has no normalization level: k_star is written empty
     fit = FactorFit(
         F=F, loadings=lam, grid=QuantileGrid((0.5,)),
         objective_trace=(2.0, 1.0), converged=False,

@@ -422,6 +422,29 @@ def test_ci_validation_and_aspect_warning(monkeypatch):
         assert record[0].filename == __file__
 
 
+def test_ci_indices_must_be_integers(monkeypatch):
+    fit, panel, scfg = _ci_fixture()
+    fresh = FactorFit(F=fit.F, loadings=fit.loadings, grid=fit.grid)
+
+    def no_work(*args):
+        raise AssertionError("the indices are checked before any batch is built")
+
+    monkeypatch.setattr(smooth, "_residual_curvature", no_work)
+    for bad in (1.5, 1.0, True, np.True_, "1", None):
+        with pytest.raises(ValueError, match=f"period index must be an integer, got {bad!r}"):
+            factor_ci(fresh, panel, scfg, bad)
+        with pytest.raises(ValueError, match=f"level index must be an integer, got {bad!r}"):
+            loading_ci(fresh, panel, scfg, bad, 2)
+        with pytest.raises(ValueError, match=f"series index must be an integer, got {bad!r}"):
+            loading_ci(fresh, panel, scfg, 1, bad)
+    monkeypatch.undo()
+    # numpy integers are indices
+    a, b = factor_ci(fit, panel, scfg, np.int64(2)), factor_ci(fit, panel, scfg, 2)
+    assert np.array_equal(a.estimate, b.estimate) and np.array_equal(a.cov, b.cov)
+    a, b = loading_ci(fit, panel, scfg, np.int32(1), np.int64(3)), loading_ci(fit, panel, scfg, 1, 3)
+    assert np.array_equal(a.estimate, b.estimate) and np.array_equal(a.cov, b.cov)
+
+
 def test_density_floor_rescues_far_out_residuals():
     # push one series' loading so its residuals leave the kernel support:
     # every raw curvature is zero, yet the floored matrix stays invertible,
